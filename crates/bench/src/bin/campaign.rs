@@ -33,7 +33,8 @@
 //! and a trial whose state splits from the golden stream is retired onto the
 //! sequential single-trial path. Like `--threads`, it is a pure execution
 //! knob — records, checkpoints, and repro bundles are bit-identical to
-//! `--batch-width 1` — and it currently requires `--isolation thread`.
+//! `--batch-width 1` — and it applies in every isolation mode: process and
+//! tcp workers batch their leased trials the same way.
 //!
 //! `--hang-multiplier K` (alias: `--hang-factor`) declares a trial hung
 //! after `K × golden-instructions` retire in one wavefront. The multiplier
@@ -41,10 +42,12 @@
 //! classify as hangs, so a checkpoint written under one multiplier refuses
 //! to resume under another.
 //!
-//! `--isolation process` runs trials in disposable worker subprocesses
-//! (spawned as `campaign __worker …`), surviving aborts, livelocks, and OOM
-//! kills that in-process isolation cannot: dead workers are respawned with
-//! backoff, and a trial that repeatedly kills its worker is *poisoned* —
+//! `--isolation process` runs trials in worker subprocesses (spawned as
+//! `campaign __worker`, speaking the same framed protocol as a `--listen`
+//! daemon over their stdin/stdout, and kept alive across shards), surviving
+//! aborts, livelocks, and OOM kills that in-process isolation cannot: dead
+//! workers are respawned with backoff, and a trial that repeatedly kills
+//! its worker is *poisoned* —
 //! quarantined to `<checkpoint>.poison.json` (or `--poison-file`) with a
 //! repro bundle, and excluded from the rates so the campaign still
 //! completes. Non-poison records are bit-identical to thread mode. If
@@ -129,9 +132,10 @@
 //! | 3 | adaptive target not reached within `--max-injections` |
 //! | 4 | stopped early (signal, `--max-wall`, or `--max-trials-this-run`); partial results are checkpointed and resumable |
 //!
-//! Worker subprocesses themselves exit 0 on success, 10 on a fatal
-//! configuration error, or die by signal — the supervisor translates all
-//! of it; `__worker` is not a user-facing mode.
+//! Worker subprocesses themselves exit 0 when the supervisor closes their
+//! session, 1 when it failed (a fatal configuration error also reaches the
+//! supervisor as an `error` frame), or die by signal — the supervisor
+//! translates all of it; `__worker` is not a user-facing mode.
 
 use mbavf_core::stats::RateEstimate;
 use mbavf_inject::{
@@ -436,11 +440,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         // so scripts can parameterize the rate without special-casing zero.
         _ => {}
     }
-    if args.runner.batch_width > 1 && args.isolation != IsolationMode::Thread {
-        return Err("--batch-width currently requires --isolation thread (subprocess and tcp \
-             workers run the sequential arena path)"
-            .into());
-    }
     if target_halfwidth.is_some() && args.isolation != IsolationMode::Thread {
         return Err(
             "--target-ci-halfwidth (adaptive sizing) currently requires --isolation thread".into(),
@@ -545,9 +544,9 @@ fn main() -> ExitCode {
     // kills them by signal, which the supervisor already translates.
     reset_sigpipe();
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // Hidden supervisor re-exec entrypoint: `campaign __worker <flags>` runs
-    // one shard of trials and streams records over stdout. Must be dispatched
-    // before normal flag parsing.
+    // Hidden supervisor re-exec entrypoint: `campaign __worker` serves one
+    // worker session over stdin/stdout. Must be dispatched before normal
+    // flag parsing.
     if argv.first().map(String::as_str) == Some("__worker") {
         std::process::exit(worker_main(&argv[1..]));
     }
@@ -876,29 +875,20 @@ mod tests {
         };
         assert!(err.contains("at least 1"), "{err}");
 
-        // Batched lockstep execution lives in the in-process runner; the
-        // supervisor's shard executors run the sequential arena path.
-        let Err(err) = parse_args(&argv(&[
-            "--workload",
-            "dct",
-            "--isolation",
-            "process",
-            "--batch-width",
-            "8",
-        ])) else {
-            panic!("--batch-width + process isolation must be rejected");
-        };
-        assert!(err.contains("--isolation thread"), "{err}");
-        // Width 1 is the sequential path, so any isolation mode accepts it.
-        assert!(parse_args(&argv(&[
-            "--workload",
-            "dct",
-            "--isolation",
-            "process",
-            "--batch-width",
-            "1",
-        ]))
-        .is_ok());
+        // Every isolation mode runs the same width-aware executor, so any
+        // width is accepted under process isolation too.
+        for width in ["1", "8"] {
+            let args = parse_args(&argv(&[
+                "--workload",
+                "dct",
+                "--isolation",
+                "process",
+                "--batch-width",
+                width,
+            ]))
+            .unwrap();
+            assert_eq!(args.runner.batch_width.to_string(), width);
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use mbavf_core::rng::{fnv1a, SplitMix64};
 use mbavf_core::stats::{wilson, RateEstimate};
 use mbavf_sim::interp::{run_functional_isolated, run_golden, InterpError, Termination};
 use mbavf_workloads::{Scale, Workload};
+use std::time::Instant;
 
 /// Where and when a fault strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -433,20 +434,107 @@ pub fn run_one(
     }
 }
 
-/// Arena-path equivalent of [`run_one`]: run one injection on a reusable
-/// [`TrialArena`](mbavf_sim::TrialArena) and classify with the identical
-/// decision order (hang, then output comparison, crash capture).
-///
-/// # Panics
-///
-/// Panics on out-of-range sites, exactly like [`run_one`].
-pub(crate) fn run_one_arena(
-    arena: &mut mbavf_sim::TrialArena,
-    golden: &GoldenShape,
-    site: FaultSite,
-    m: u8,
-) -> (Outcome, bool) {
-    classify_trial(arena.run_trial(site.injection(m), golden.max_steps, &golden.output))
+/// The one trial executor every execution mode shares: runner threads,
+/// worker subprocesses, `__serve` daemons, and the supervisor's auditor.
+/// It borrows the campaign's golden shape and sampler, owns a reusable
+/// [`TrialArena`](mbavf_sim::TrialArena) at width 1 or a lockstep
+/// [`TrialBatch`](mbavf_sim::TrialBatch) above it, and turns trial indices
+/// into classified records. Both engines produce bit-identical records, so
+/// the width is an execution knob only.
+pub(crate) struct TrialExecutor<'a> {
+    golden: &'a GoldenShape,
+    sampler: &'a SiteSampler,
+    seed: u64,
+    mode_bits: u8,
+    width: usize,
+    sites: Vec<(u64, FaultSite)>,
+    engine: Engine,
+}
+
+enum Engine {
+    Arena(Box<mbavf_sim::TrialArena>),
+    Batch { batch: Box<mbavf_sim::TrialBatch>, injections: Vec<mbavf_sim::Injection> },
+}
+
+impl<'a> TrialExecutor<'a> {
+    /// Build a fresh instance of `workload` into an engine of `width`
+    /// lockstep trials (1 = sequential arena).
+    pub(crate) fn new(
+        workload: &Workload,
+        cfg: &CampaignConfig,
+        golden: &'a GoldenShape,
+        sampler: &'a SiteSampler,
+        width: usize,
+    ) -> Self {
+        let inst = workload.build(cfg.scale);
+        let (program, mem, wgs, wrap) = (inst.program, inst.mem, inst.workgroups, cfg.wrap_oob);
+        let engine = if width > 1 {
+            Engine::Batch {
+                batch: Box::new(mbavf_sim::TrialBatch::new(program, mem, wgs, wrap, width)),
+                injections: Vec::with_capacity(width),
+            }
+        } else {
+            Engine::Arena(Box::new(mbavf_sim::TrialArena::new(program, mem, wgs, wrap)))
+        };
+        let (seed, mode_bits, width) = (cfg.seed, cfg.mode_bits.max(1), width.max(1));
+        TrialExecutor { golden, sampler, seed, mode_bits, width, sites: Vec::new(), engine }
+    }
+
+    /// The most trials one [`Self::run_group`] call accepts.
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Run up to [`Self::width`] trials and hand each record, with its
+    /// wall-clock microseconds, to `emit` in trial order. The arena emits
+    /// each trial as soon as it finishes; a batch emits its group once the
+    /// lockstep pass ends, splitting the pass's span across its trials.
+    /// The first error `emit` returns stops the group.
+    pub(crate) fn run_group<E>(
+        &mut self,
+        trials: &[u64],
+        mut emit: impl FnMut(SingleBitRecord, u64) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (golden, m) = (self.golden, self.mode_bits);
+        let mut emit = |(trial, site), result, us| {
+            let (outcome, read_before_overwrite) = classify_trial(result);
+            emit(SingleBitRecord { trial, site, outcome, read_before_overwrite }, us)
+        };
+        self.sites.clear();
+        self.sites.extend(trials.iter().map(|&t| (t, self.sampler.sample(self.seed, t))));
+        match &mut self.engine {
+            Engine::Arena(arena) => {
+                for &(trial, site) in &self.sites {
+                    let t0 = Instant::now();
+                    let result =
+                        arena.run_trial(site.injection(m), golden.max_steps, &golden.output);
+                    emit((trial, site), result, t0.elapsed().as_micros() as u64)?;
+                }
+            }
+            Engine::Batch { batch, injections } => {
+                injections.clear();
+                injections.extend(self.sites.iter().map(|(_, site)| site.injection(m)));
+                let t0 = Instant::now();
+                let results = batch.run_batch(injections, golden.max_steps, &golden.output);
+                let (span_us, n) = (t0.elapsed().as_micros() as u64, self.sites.len());
+                for (k, (&site, result)) in self.sites.iter().zip(results).enumerate() {
+                    emit(site, result, per_trial_latency_us(span_us, n, k))?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Attribute one batch's wall-clock span to its `n` trials: trial `k` gets
+/// `span / n` microseconds, with the first `span % n` trials carrying one
+/// extra so the attributed latencies sum exactly to the span. Without this,
+/// a width-W batch would book its whole span W times — inflating latency
+/// percentiles by ~W and corrupting the heartbeat's trials/sec-derived ETA.
+pub(crate) fn per_trial_latency_us(span_us: u64, n: usize, k: usize) -> u64 {
+    debug_assert!(k < n, "trial index {k} outside batch of {n}");
+    let n = n as u64;
+    span_us / n + u64::from((k as u64) < span_us % n)
 }
 
 /// Classify one arena- or batch-executed trial result with the campaign's
@@ -454,9 +542,7 @@ pub(crate) fn run_one_arena(
 /// out-of-range sites are a sampler bug and panic. Shared by the sequential
 /// and the lockstep-batched execution paths so both produce byte-identical
 /// outcomes for the same trial result.
-pub(crate) fn classify_trial(
-    result: Result<mbavf_sim::TrialResult, InterpError>,
-) -> (Outcome, bool) {
+fn classify_trial(result: Result<mbavf_sim::TrialResult, InterpError>) -> (Outcome, bool) {
     match result {
         Ok(run) => {
             let outcome = if run.termination == Termination::Hang {
@@ -518,7 +604,9 @@ pub(crate) struct GoldenShape {
 pub(crate) fn golden_shape(
     workload: &Workload,
     cfg: &CampaignConfig,
-) -> Result<GoldenShape, String> {
+) -> Result<GoldenShape, InjectError> {
+    let failed =
+        |detail| InjectError::GoldenRunFailed { workload: workload.name.to_string(), detail };
     let run_once = || {
         mbavf_sim::isolate::catch_crash(|| {
             let mut inst = workload.build(cfg.scale);
@@ -535,17 +623,36 @@ pub(crate) fn golden_shape(
             }
         })
     };
-    let first = run_once()?;
-    let second = run_once()?;
+    let first = run_once().map_err(failed)?;
+    let second = run_once().map_err(failed)?;
     let digest_a = fnv1a(&first.output);
     let digest_b = fnv1a(&second.output);
     if digest_a != digest_b || first.per_wg_retired != second.per_wg_retired {
-        return Err(format!(
+        return Err(failed(format!(
             "nondeterministic golden run (output digests {digest_a:#018x} vs {digest_b:#018x}); \
              injection outcomes cannot be classified against an unstable reference"
-        ));
+        )));
     }
     Ok(first)
+}
+
+/// The campaign's fault-site sampler over `golden`, or `None` for a
+/// zero-budget campaign: it samples nothing, so a degenerate retirement
+/// shape is only an error when there are trials to draw.
+pub(crate) fn campaign_sampler(
+    workload: &Workload,
+    cfg: &CampaignConfig,
+    golden: &GoldenShape,
+) -> Result<Option<SiteSampler>, InjectError> {
+    if cfg.injections == 0 {
+        return Ok(None);
+    }
+    SiteSampler::new(&golden.per_wg_retired, golden.num_vregs).map(Some).map_err(|e| match e {
+        InjectError::EmptySampleSpace { detail } => {
+            InjectError::EmptySampleSpace { detail: format!("{}: {detail}", workload.name) }
+        }
+        other => other,
+    })
 }
 
 #[cfg(test)]

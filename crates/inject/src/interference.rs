@@ -74,10 +74,7 @@ pub fn try_interference_study(
     let report = run_campaign(workload, cfg, &RunnerConfig::serial())?;
     let sdc_sites = report.summary.sdc_sites();
 
-    let golden = golden_shape(workload, cfg).map_err(|detail| InjectError::GoldenRunFailed {
-        workload: workload.name.to_string(),
-        detail,
-    })?;
+    let golden = golden_shape(workload, cfg)?;
     let max_steps = golden.max_steps;
 
     let mut groups_tested = [0usize; 3];

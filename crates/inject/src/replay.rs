@@ -63,8 +63,7 @@ fn prepare(b: &ReproBundle) -> Result<(Workload, CampaignConfig, GoldenShape), I
             BundleError::FingerprintMismatch { expected, found: b.config_fingerprint }.into()
         );
     }
-    let golden = golden_shape(&w, &cfg)
-        .map_err(|detail| InjectError::GoldenRunFailed { workload: w.name.to_string(), detail })?;
+    let golden = golden_shape(&w, &cfg)?;
     let digest = fnv1a(&golden.output);
     if digest != b.golden_digest {
         return Err(BundleError::GoldenMismatch { expected: b.golden_digest, found: digest }.into());

@@ -30,8 +30,8 @@
 //! layer must never do.
 
 use crate::campaign::{
-    golden_shape, CampaignConfig, CampaignSummary, FaultSite, GoldenShape, OutcomeKind,
-    SingleBitRecord, SiteSampler,
+    campaign_sampler, golden_shape, CampaignConfig, CampaignSummary, GoldenShape, OutcomeKind,
+    SingleBitRecord, TrialExecutor,
 };
 use crate::checkpoint::{self, wal};
 use crate::supervisor::merge::{merge_slot, MergeVerdict};
@@ -101,6 +101,18 @@ impl RunnerConfig {
     /// Single-threaded, no checkpointing — the simplest execution mode.
     pub fn serial() -> Self {
         Self { threads: 1, ..Self::default() }
+    }
+
+    /// Reject execution settings no engine can honour.
+    pub(crate) fn validate(&self) -> Result<(), InjectError> {
+        let bad = |detail: &str| Err(InjectError::BadConfig { detail: detail.into() });
+        if self.checkpoint.is_some() && self.checkpoint_every == 0 {
+            return bad("checkpoint_every must be at least 1 when checkpointing");
+        }
+        if self.batch_width == 0 {
+            return bad("batch_width must be at least 1 (1 = sequential execution)");
+        }
+        Ok(())
     }
 
     fn resolved_threads(&self, pending: usize) -> usize {
@@ -735,64 +747,14 @@ pub fn run_campaign(
     cfg: &CampaignConfig,
     runner: &RunnerConfig,
 ) -> Result<CampaignReport, InjectError> {
-    let golden = golden_shape(workload, cfg).map_err(|detail| InjectError::GoldenRunFailed {
-        workload: workload.name.to_string(),
-        detail,
-    })?;
+    let golden = golden_shape(workload, cfg)?;
     run_campaign_with(workload, cfg, runner, &golden)
 }
 
-/// Trials claimed per atomic increment. Workers pre-sample every fault site
-/// of a claimed chunk in one pass before executing any of its trials, so
-/// the per-trial hot loop touches no sampler state at all. Chunking changes
-/// only which worker runs which trial — records land in per-trial slots, so
-/// summaries stay bit-identical at any chunk size or thread count.
+/// Trials claimed per atomic increment. Chunking changes only which worker
+/// runs which trial — records land in per-trial slots, so summaries stay
+/// bit-identical at any chunk size or thread count.
 const SITE_CHUNK: usize = 32;
-
-/// Per-thread trial executor: the sequential arena at width 1, the
-/// trial-lockstep batch above it. Both produce bit-identical verdicts; the
-/// split exists so width 1 keeps today's path byte for byte.
-enum TrialExec {
-    Sequential(Box<mbavf_sim::TrialArena>),
-    Batched { batch: Box<mbavf_sim::TrialBatch>, injections: Vec<mbavf_sim::Injection> },
-}
-
-impl TrialExec {
-    fn build(workload: &Workload, cfg: &CampaignConfig, width: usize) -> Self {
-        let inst = workload.build(cfg.scale);
-        if width > 1 {
-            TrialExec::Batched {
-                batch: Box::new(mbavf_sim::TrialBatch::new(
-                    inst.program,
-                    inst.mem,
-                    inst.workgroups,
-                    cfg.wrap_oob,
-                    width,
-                )),
-                injections: Vec::with_capacity(width),
-            }
-        } else {
-            TrialExec::Sequential(Box::new(mbavf_sim::TrialArena::new(
-                inst.program,
-                inst.mem,
-                inst.workgroups,
-                cfg.wrap_oob,
-            )))
-        }
-    }
-}
-
-/// Attribute one batch's wall-clock span to its `n` trials: trial `k` gets
-/// `span / n` microseconds, with the first `span % n` trials carrying one
-/// extra so the attributed latencies sum exactly to the span. Without this,
-/// a width-W batch would book its whole span W times — inflating
-/// [`LatencyStats`] percentiles by ~W and corrupting the heartbeat's
-/// trials/sec-derived ETA.
-fn per_trial_latency_us(span_us: u64, n: usize, k: usize) -> u64 {
-    debug_assert!(k < n, "trial index {k} outside batch of {n}");
-    let n = n as u64;
-    span_us / n + u64::from((k as u64) < span_us % n)
-}
 
 /// [`run_campaign`] against an already-computed golden shape, so callers
 /// scheduling several budgets over the same campaign config (adaptive
@@ -803,29 +765,9 @@ pub(crate) fn run_campaign_with(
     runner: &RunnerConfig,
     golden: &GoldenShape,
 ) -> Result<CampaignReport, InjectError> {
-    if runner.checkpoint.is_some() && runner.checkpoint_every == 0 {
-        return Err(InjectError::BadConfig {
-            detail: "checkpoint_every must be at least 1 when checkpointing".into(),
-        });
-    }
-    if runner.batch_width == 0 {
-        return Err(InjectError::BadConfig {
-            detail: "batch_width must be at least 1 (1 = sequential execution)".into(),
-        });
-    }
+    runner.validate()?;
 
-    // A zero-budget campaign samples nothing, so a degenerate retirement
-    // shape is only an error when there are trials to draw.
-    let sampler = if cfg.injections == 0 {
-        None
-    } else {
-        Some(SiteSampler::new(&golden.per_wg_retired, golden.num_vregs).map_err(|e| match e {
-            InjectError::EmptySampleSpace { detail } => {
-                InjectError::EmptySampleSpace { detail: format!("{}: {detail}", workload.name) }
-            }
-            other => other,
-        })?)
-    };
+    let sampler = campaign_sampler(workload, cfg, golden)?;
     let fingerprint = checkpoint::config_fingerprint(workload.name, cfg);
 
     // Restore completed trials from the checkpoint and its write-ahead
@@ -874,8 +816,21 @@ pub(crate) fn run_campaign_with(
                 // batch), built lazily on the first claimed chunk: one
                 // instance build per worker per campaign, zero steady-state
                 // allocation per trial.
-                let mut exec: Option<TrialExec> = None;
-                let mut sites: Vec<(u64, FaultSite)> = Vec::with_capacity(SITE_CHUNK);
+                let mut exec: Option<TrialExecutor> = None;
+                let commit = |record: SingleBitRecord, elapsed_us: u64| {
+                    // Write-ahead: the trial reaches the durable journal
+                    // before it reaches the in-memory slots (atomically with
+                    // respect to snapshot resets), so a crash can lose at
+                    // most the single in-flight trial.
+                    let done = shared.commit_journaled(record, elapsed_us);
+                    if let Some(path) = &runner.checkpoint {
+                        if done.is_multiple_of(runner.checkpoint_every) {
+                            shared.snapshot(workload.name, fingerprint, cfg.mode_bits, path);
+                        }
+                    }
+                    crate::signals::preempt_drill(done);
+                    Ok::<(), std::convert::Infallible>(())
+                };
                 loop {
                     // Graceful preemption: stop claiming work once the token
                     // trips. Unclaimed and unstarted trials simply stay
@@ -888,88 +843,18 @@ pub(crate) fn run_campaign_with(
                     if start >= end {
                         return;
                     }
-                    let sampler = sampler.as_ref().expect("pending trials imply a sampler");
-                    sites.clear();
-                    for &trial in &pending[start..end] {
-                        sites.push((trial, sampler.sample(cfg.seed, trial)));
-                    }
-                    let exec = exec
-                        .get_or_insert_with(|| TrialExec::build(workload, cfg, runner.batch_width));
-                    let commit = |record: SingleBitRecord, elapsed_us: u64| {
-                        // Write-ahead: the trial reaches the durable journal
-                        // before it reaches the in-memory slots (atomically
-                        // with respect to snapshot resets), so a crash can
-                        // lose at most the single in-flight trial.
-                        let done = shared.commit_journaled(record, elapsed_us);
-                        if let Some(path) = &runner.checkpoint {
-                            if done.is_multiple_of(runner.checkpoint_every) {
-                                shared.snapshot(workload.name, fingerprint, cfg.mode_bits, path);
-                            }
+                    let exec = exec.get_or_insert_with(|| {
+                        let sampler = sampler.as_ref().expect("pending trials imply a sampler");
+                        TrialExecutor::new(workload, cfg, golden, sampler, runner.batch_width)
+                    });
+                    // A group (one trial, or one lockstep batch) is the trial
+                    // boundary: a group in flight finishes and commits whole,
+                    // in trial order, before the token is honored.
+                    for group in pending[start..end].chunks(exec.width()) {
+                        if runner.cancel.cancelled().is_some() {
+                            return;
                         }
-                        crate::signals::preempt_drill(done);
-                    };
-                    match exec {
-                        TrialExec::Sequential(arena) => {
-                            for &(trial, site) in &sites {
-                                if runner.cancel.cancelled().is_some() {
-                                    return;
-                                }
-                                let t0 = Instant::now();
-                                let (outcome, read) = crate::campaign::run_one_arena(
-                                    arena,
-                                    golden,
-                                    site,
-                                    cfg.mode_bits.max(1),
-                                );
-                                let elapsed_us = t0.elapsed().as_micros() as u64;
-                                commit(
-                                    SingleBitRecord {
-                                        trial,
-                                        site,
-                                        outcome,
-                                        read_before_overwrite: read,
-                                    },
-                                    elapsed_us,
-                                );
-                            }
-                        }
-                        TrialExec::Batched { batch, injections } => {
-                            // Sub-chunk the claimed sites by batch width;
-                            // records still commit per trial index in order,
-                            // so checkpoint/WAL semantics are unchanged.
-                            for group in sites.chunks(batch.width()) {
-                                // Lockstep groups are the batched trial
-                                // boundary: a group in flight finishes and
-                                // commits whole before the token is honored.
-                                if runner.cancel.cancelled().is_some() {
-                                    return;
-                                }
-                                injections.clear();
-                                injections.extend(
-                                    group
-                                        .iter()
-                                        .map(|&(_, site)| site.injection(cfg.mode_bits.max(1))),
-                                );
-                                let t0 = Instant::now();
-                                let results =
-                                    batch.run_batch(injections, golden.max_steps, &golden.output);
-                                let span_us = t0.elapsed().as_micros() as u64;
-                                for (k, (&(trial, site), result)) in
-                                    group.iter().zip(results).enumerate()
-                                {
-                                    let (outcome, read) = crate::campaign::classify_trial(result);
-                                    commit(
-                                        SingleBitRecord {
-                                            trial,
-                                            site,
-                                            outcome,
-                                            read_before_overwrite: read,
-                                        },
-                                        per_trial_latency_us(span_us, group.len(), k),
-                                    );
-                                }
-                            }
-                        }
+                        let Ok(()) = exec.run_group(group, &commit);
                     }
                 }
             });
@@ -1132,10 +1017,7 @@ pub fn run_adaptive(
 
     // The golden shape depends on (workload, scale, hang_factor) but not on
     // the budget, so one double-run integrity check covers every stage.
-    let golden = golden_shape(workload, cfg).map_err(|detail| InjectError::GoldenRunFailed {
-        workload: workload.name.to_string(),
-        detail,
-    })?;
+    let golden = golden_shape(workload, cfg)?;
 
     // Resuming: skip straight to the first stage whose budget covers every
     // already-recorded trial, so a checkpoint from a later stage never
@@ -1183,6 +1065,7 @@ pub fn run_adaptive(
 mod tests {
     use super::*;
     use crate::campaign::OutcomeKind;
+    use crate::campaign::{per_trial_latency_us, FaultSite};
     use mbavf_workloads::by_name;
 
     fn cfg(n: usize) -> CampaignConfig {

@@ -108,20 +108,15 @@ pub fn reset_sigpipe() {
 pub fn reset_sigpipe() {}
 
 /// `MBAVF_PREEMPT_DRILL` — the preemption member of the drill family
-/// (`MBAVF_KILL_DRILL`, `MBAVF_NET_DRILL`, ...): after the `n`-th freshly
-/// committed trial, deliver a real SIGTERM to this process, exactly as a
-/// preempting scheduler would. Spelled `"<n>"` for a single graceful
-/// signal, `"<n>:2"` for a double signal (second strike → immediate
-/// abort, exit `143`). Used by the SIGTERM-at-every-phase torture drill
-/// to pin cancellation to a deterministic trial count.
+/// ([`crate::drill`]): after the `n`-th freshly committed trial, deliver a
+/// real SIGTERM to this process, exactly as a preempting scheduler would.
+/// Spelled `"<n>"` for a single graceful signal, `"<n>:2"` for a double
+/// signal (second strike → immediate abort, exit `143`). Used by the
+/// SIGTERM-at-every-phase torture drill to pin cancellation to a
+/// deterministic trial count.
 pub(crate) fn preempt_drill(done: usize) {
-    let Ok(spec) = std::env::var("MBAVF_PREEMPT_DRILL") else { return };
-    let (at, double) = match spec.split_once(':') {
-        Some((n, "2")) => (n.parse::<usize>().ok(), true),
-        Some(_) => (None, false),
-        None => (spec.parse::<usize>().ok(), false),
-    };
-    if at != Some(done) {
+    let Some((at, double)) = crate::drill::drills().preempt else { return };
+    if at != done {
         return;
     }
     term_self();
@@ -159,19 +154,3 @@ fn term_self() {
 
 #[cfg(not(unix))]
 fn term_self() {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // Handler installation is process-global, so the handler/escalation
-    // behaviour proper is exercised end-to-end by the CLI preemption
-    // drill; here we only pin the drill-spec parsing contract.
-    #[test]
-    fn drill_spec_parsing_ignores_garbage() {
-        // No env var set in the test process: must be a no-op.
-        std::env::remove_var("MBAVF_PREEMPT_DRILL");
-        preempt_drill(0);
-        preempt_drill(usize::MAX);
-    }
-}

@@ -9,7 +9,7 @@
 //! (records, or heartbeat frames whose completion count advanced).
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One shard of trial indices plus the failure history charged to its head
@@ -35,25 +35,118 @@ impl Shard {
 /// The supervisor's shared work queue. Handlers lease shards off the front;
 /// a handler whose endpoint dies gives its shard back (history intact) for
 /// any surviving handler to pick up.
+///
+/// The queue counts queued *and* leased shards under one lock, so an idle
+/// handler can tell "no work left" from "no work right now": [`Self::take`]
+/// blocks while the queue is empty but some shard is still leased, and
+/// wakes when that shard is settled or given back.
 pub(crate) struct LeaseQueue {
-    shards: Mutex<VecDeque<Shard>>,
+    state: Mutex<QueueState>,
+    changed: Condvar,
+}
+
+struct QueueState {
+    queued: VecDeque<Shard>,
+    leased: usize,
+    /// Times a handler blocked in [`LeaseQueue::take`], so a test can give
+    /// a shard back only once a handler waits for it.
+    #[cfg(test)]
+    blocked: usize,
+}
+
+/// A shard leased off a [`LeaseQueue`]. Dropping it settles the lease
+/// (finished, or abandoned because the campaign is stopping);
+/// [`LeaseQueue::give_back`] re-offers it instead.
+pub(crate) struct Leased<'q> {
+    queue: &'q LeaseQueue,
+    shard: Option<Shard>,
+}
+
+impl std::ops::Deref for Leased<'_> {
+    type Target = Shard;
+    fn deref(&self) -> &Shard {
+        self.shard.as_ref().expect("a lease holds its shard until settled")
+    }
+}
+
+impl std::ops::DerefMut for Leased<'_> {
+    fn deref_mut(&mut self) -> &mut Shard {
+        self.shard.as_mut().expect("a lease holds its shard until settled")
+    }
+}
+
+impl Drop for Leased<'_> {
+    fn drop(&mut self) {
+        if self.shard.take().is_some() {
+            self.queue.settle(None);
+        }
+    }
 }
 
 impl LeaseQueue {
     pub(crate) fn new(shards: VecDeque<Shard>) -> Self {
-        LeaseQueue { shards: Mutex::new(shards) }
+        LeaseQueue {
+            state: Mutex::new(QueueState {
+                queued: shards,
+                leased: 0,
+                #[cfg(test)]
+                blocked: 0,
+            }),
+            changed: Condvar::new(),
+        }
     }
 
-    pub(crate) fn take(&self) -> Option<Shard> {
-        self.shards.lock().expect("lease queue lock").pop_front()
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().expect("lease queue lock")
     }
 
-    pub(crate) fn give_back(&self, shard: Shard) {
-        self.shards.lock().expect("lease queue lock").push_back(shard);
+    /// Lease the next shard. Blocks while the queue is empty and another
+    /// lease is outstanding; `None` once every shard is settled.
+    pub(crate) fn take(&self) -> Option<Leased<'_>> {
+        let mut st = self.lock();
+        loop {
+            if let Some(shard) = st.queued.pop_front() {
+                st.leased += 1;
+                return Some(Leased { queue: self, shard: Some(shard) });
+            }
+            if st.leased == 0 {
+                return None;
+            }
+            #[cfg(test)]
+            {
+                st.blocked += 1;
+            }
+            st = self.changed.wait(st).expect("lease queue lock");
+        }
     }
 
+    /// Re-offer a leased shard, failure history intact.
+    pub(crate) fn give_back(&self, mut lease: Leased<'_>) {
+        self.settle(lease.shard.take());
+    }
+
+    fn settle(&self, give_back: Option<Shard>) {
+        let mut st = self.lock();
+        st.leased -= 1;
+        st.queued.extend(give_back);
+        self.changed.notify_all();
+    }
+
+    /// Shards waiting to be leased.
     pub(crate) fn outstanding(&self) -> usize {
-        self.shards.lock().expect("lease queue lock").len()
+        self.lock().queued.len()
+    }
+
+    /// Shards currently leased to a handler (the heartbeat's live-worker
+    /// count).
+    pub(crate) fn leased(&self) -> usize {
+        self.lock().leased
+    }
+
+    /// Times a handler blocked in [`Self::take`].
+    #[cfg(test)]
+    fn blocked(&self) -> usize {
+        self.lock().blocked
     }
 }
 
@@ -224,6 +317,43 @@ mod tests {
         assert_eq!(second.remaining, VecDeque::from([2, 3]));
         assert_eq!(second.attempts, 3);
         assert_eq!(second.last_fail, "connection lost");
+        drop((first, second));
         assert!(q.take().is_none(), "queue drained");
+    }
+
+    #[test]
+    fn an_idle_handler_receives_a_shard_given_back_after_being_held() {
+        // The failover race: handler A holds the only shard through its
+        // endpoint's backoff and redial while handler B finds the queue
+        // empty. B must wait for A's verdict instead of retiring, and must
+        // receive the shard A gives back.
+        let q = LeaseQueue::new(VecDeque::from([Shard::new(VecDeque::from([0, 1]))]));
+        let mut held = q.take().expect("A leases the shard");
+        std::thread::scope(|scope| {
+            let idle = scope.spawn(|| q.take().map(|s| s.remaining.clone()));
+            while q.blocked() == 0 && !idle.is_finished() {
+                std::thread::yield_now();
+            }
+            held.attempts = 1;
+            held.remaining.pop_front();
+            q.give_back(held);
+            assert_eq!(idle.join().unwrap(), Some(VecDeque::from([1])));
+        });
+        assert_eq!((q.outstanding(), q.leased()), (0, 0));
+        assert!(q.take().is_none(), "every shard settled: idle handlers retire");
+    }
+
+    #[test]
+    fn idle_handlers_retire_once_the_last_lease_settles() {
+        let q = LeaseQueue::new(VecDeque::from([Shard::new(VecDeque::from([0]))]));
+        let held = q.take().expect("one shard");
+        std::thread::scope(|scope| {
+            let idle = scope.spawn(|| q.take().is_none());
+            while q.blocked() == 0 && !idle.is_finished() {
+                std::thread::yield_now();
+            }
+            drop(held);
+            assert!(idle.join().unwrap(), "no shard left: take returns None");
+        });
     }
 }

@@ -5,8 +5,8 @@
 //! panics, but a fault campaign can provoke failures no in-process mechanism
 //! survives: `std::process::abort`, stack exhaustion, the OOM killer, or a
 //! livelock that outruns the hang guard. This module runs trials in
-//! disposable **worker subprocesses** — or in **worker daemons on other
-//! machines** — so the supervising campaign outlives all of them.
+//! **worker subprocesses** — or in **worker daemons on other machines** —
+//! so the supervising campaign outlives all of them.
 //!
 //! ## Architecture
 //!
@@ -14,28 +14,31 @@
 //! blocks whose boundaries depend only on the trial index (`trial /
 //! shard_size`), so the shard layout — and therefore every record — is
 //! invariant under the worker count. Each supervisor-side handler thread
-//! leases shards to a worker over a [`transport::Transport`]:
+//! leases shards to one worker over a [`transport::Transport`], which
+//! reaches it one of two ways:
 //!
-//! * **Pipe** ([`TransportKind::Pipe`], the default): each lease spawns the
-//!   current executable with a hidden `__worker` argv (hosting binaries
-//!   route it to [`worker_main`]), passing the campaign config and the
-//!   shard's trials as a range list (`"0-5,9,11-20"`), and reads
-//!   line-delimited JSON from its stdout.
-//! * **TCP** ([`TransportKind::Tcp`]): each handler holds one persistent
+//! * **Pipe** ([`TransportKind::Pipe`], the default): the handler spawns
+//!   the current executable with a hidden `__worker` argv (hosting binaries
+//!   route it to [`worker_main`]) and talks over its stdin/stdout. The
+//!   child lives across leases; a revoked lease kills it and the next lease
+//!   respawns it.
+//! * **TCP** ([`TransportKind::Tcp`]): the handler holds one persistent
 //!   connection to a `campaign --listen` worker daemon ([`serve_main`]),
-//!   sends the campaign config once per connection and a lease frame per
-//!   shard, and reads length-delimited frames back.
+//!   redialed on loss.
 //!
-//! Both channels carry the same protocol:
+//! Both carry the same length-delimited frames, served on the worker side
+//! by one session handler:
 //!
-//! 1. a handshake — `{"mbavf_worker": 1, "fingerprint": <u64>}` — that the
-//!    supervisor validates against its own config fingerprint,
-//! 2. one record line per trial, in order, flushed per line (checkpoint
-//!    record fields plus `"us"`, the trial's wall-clock in microseconds),
-//! 3. a `{"done": N}` sentinel on success; or `{"error": "<detail>"}` and
-//!    (for subprocesses) exit code 10 for a fatal configuration error.
-//!
-//! The TCP stream additionally interleaves `{"hb": N}` heartbeat frames.
+//! 1. a hello — protocol version, lease budget, batch width, and the
+//!    campaign config — sent once per child or connection;
+//! 2. per shard, a lease frame naming the trials, answered by a handshake
+//!    (`{"mbavf_worker": 2, "fingerprint": <u64>}`) that the supervisor
+//!    validates against its own config fingerprint;
+//! 3. one record frame per trial, in order (checkpoint record fields plus
+//!    `"us"`, the trial's wall-clock in microseconds), interleaved with
+//!    `{"hb": N}` heartbeat frames;
+//! 4. a `{"done": N}` sentinel on success; or `{"error": "<detail>"}` for a
+//!    fatal configuration error.
 //!
 //! ## Failure policy
 //!
@@ -50,9 +53,18 @@
 //! backoff; because records arrive in trial order and are committed through
 //! an idempotent [`merge`] keyed by trial index, a reconnect simply
 //! re-leases from the first missing trial, and duplicated or reordered
-//! records can never double-count. A **remote endpoint that stays
+//! records can never double-count. A worker that dies *before* answering a
+//! lease never ran it, so that death is charged to the channel's retry
+//! budget rather than the head trial. A **remote endpoint that stays
 //! unreachable** hands its shard — failure history intact — back to the
-//! queue for any surviving endpoint to pick up.
+//! queue for any surviving endpoint to pick up; idle handlers wait for such
+//! give-backs for as long as any shard is still leased.
+//!
+//! A worker batches each first lease in lockstep groups of the campaign's
+//! batch width, and runs a re-leased shard one trial at a time. A death in
+//! a batched lease charges no trial — any trial of the dying group may be
+//! the killer — and only re-leases the shard one trial at a time, so every
+//! charged death is attributable to the head trial.
 //!
 //! After `max_retries` consecutive no-progress failures a shard's head trial
 //! is **poisoned**: excluded from the summary (the campaign completes with
@@ -66,7 +78,7 @@
 //! ## Graceful degradation
 //!
 //! If no worker has produced anything yet — subprocesses cannot be spawned,
-//! the first line is not a valid handshake, or no TCP endpoint ever
+//! the first message is not a valid handshake, or no TCP endpoint ever
 //! connects — the supervisor warns and falls back one isolation level (TCP →
 //! local processes → threads) instead of failing the campaign: same
 //! checkpoint, bit-identical records. Once work has been committed the
@@ -74,8 +86,8 @@
 //! [`TransportError::AllEndpointsLost`].
 
 use crate::campaign::{
-    golden_shape, run_one_arena, CampaignConfig, CampaignSummary, FaultSite, GoldenShape, Outcome,
-    OutcomeKind, SingleBitRecord, SiteSampler,
+    campaign_sampler, golden_shape, CampaignConfig, CampaignSummary, FaultSite, Outcome,
+    SingleBitRecord, SiteSampler, TrialExecutor,
 };
 use crate::checkpoint;
 use crate::durable::{atomic_write_durable, jittered_backoff};
@@ -85,15 +97,13 @@ use crate::runner::{
     LatencyStats, RemoteCommit, RunnerConfig, Shared, WorkerGuard,
 };
 use mbavf_core::error::{InjectError, SupervisorError, TransportError};
-use mbavf_workloads::{by_name, Scale, Workload};
+use mbavf_workloads::Workload;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub mod audit;
 pub(crate) mod lease;
@@ -102,16 +112,16 @@ mod serve;
 pub(crate) mod transport;
 
 pub use self::audit::AuditPolicy;
-pub use self::serve::serve_main;
+pub use self::serve::{serve_main, worker_main};
 
 use self::audit::TrustLedger;
 use self::lease::{Lease, LeaseQueue, Shard};
-use self::transport::{render_hello, ChannelEvent, PipeTransport, TcpTransport, Transport};
+use self::transport::{parse_record, render_hello, ChannelEvent, Connector, Transport};
 
 /// Version of the supervisor↔worker protocol (the handshake's
 /// `mbavf_worker` field, and the hello frame's `mbavf_hello` field). Bumped
-/// whenever the line or frame format changes.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// whenever the frame format changes.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Version of the `*.poison.json` sidecar format.
 pub const POISON_VERSION: u64 = 1;
@@ -151,14 +161,15 @@ impl IsolationMode {
     }
 }
 
-/// How the supervisor reaches its workers.
+/// How the supervisor reaches its workers. Both speak the same framed
+/// protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Disposable local `__worker` subprocesses, one per lease,
-    /// line-delimited JSON over piped stdout.
+    /// Local `__worker` subprocesses over their stdin/stdout, one per
+    /// handler, kept across leases and respawned after a death.
     Pipe,
-    /// Persistent connections to `campaign --listen` worker daemons,
-    /// length-delimited frames, one handler per endpoint.
+    /// Persistent connections to `campaign --listen` worker daemons, one
+    /// handler per endpoint.
     Tcp {
         /// Worker daemon `host:port` endpoints.
         endpoints: Vec<String>,
@@ -175,11 +186,13 @@ pub struct SupervisorConfig {
     /// Trials per worker shard. Shard boundaries are `trial / shard_size`,
     /// so records are invariant under the worker count.
     pub shard_size: usize,
-    /// Pipe watchdog: a worker spawn that has not finished its shard within
-    /// this wall-clock budget is killed and retried.
+    /// Pipe watchdog: a worker that has not finished its leased shard
+    /// within this wall-clock budget is killed and the shard retried.
     pub shard_timeout: Duration,
     /// Consecutive no-progress worker failures tolerated before the shard's
-    /// first remaining trial is poisoned. Progress resets the count.
+    /// first remaining trial is poisoned. Progress resets the count. A
+    /// death during a batched lease is not counted: it only makes the
+    /// shard's next lease run one trial at a time.
     pub max_retries: u32,
     /// First retry delay; doubles per consecutive failure. The actual sleep
     /// is jittered deterministically per handler so workers that died
@@ -195,8 +208,8 @@ pub struct SupervisorConfig {
     /// only, in the report).
     pub poison_path: Option<PathBuf>,
     /// Override the worker argv (tests use shell scripts). `None` spawns
-    /// `current_exe __worker`. Config flags are appended either way.
-    /// Pipe transport only.
+    /// `current_exe __worker`; the campaign config travels in the hello
+    /// frame either way. Pipe transport only.
     pub worker_cmd: Option<Vec<String>>,
     /// Extra environment variables for workers (e.g. fault drills). Pipe
     /// transport only — TCP daemons inherit their own environment.
@@ -466,253 +479,24 @@ fn load_or_quarantine_poison(
     }
 }
 
-pub(crate) fn render_record_line(r: &SingleBitRecord, us: u64) -> String {
-    let mut out = String::with_capacity(128);
-    let _ = write!(
-        out,
-        "{{\"trial\": {}, \"wg\": {}, \"after\": {}, \"reg\": {}, \"lane\": {}, \"bit\": {}, \"outcome\": \"{}\", ",
-        r.trial,
-        r.site.wg,
-        r.site.after_retired,
-        r.site.reg,
-        r.site.lane,
-        r.site.bit,
-        r.outcome.kind().as_str(),
-    );
-    if let Outcome::Crash { reason } = &r.outcome {
-        out.push_str("\"reason\": ");
-        json::write_str(&mut out, reason);
-        out.push_str(", ");
-    }
-    let _ = write!(out, "\"read\": {}, \"us\": {us}}}", r.read_before_overwrite);
-    out
-}
-
-fn parse_record_line(v: &Value) -> Result<(SingleBitRecord, u64), String> {
-    let field = |k: &str| {
-        v.get(k).and_then(Value::as_u64).ok_or_else(|| format!("missing or non-integer \"{k}\""))
-    };
-    let kind = v
-        .get("outcome")
-        .and_then(Value::as_str)
-        .and_then(OutcomeKind::parse)
-        .ok_or_else(|| "missing or unknown \"outcome\"".to_string())?;
-    let outcome = match kind {
-        OutcomeKind::Masked => Outcome::Masked,
-        OutcomeKind::Sdc => Outcome::Sdc,
-        OutcomeKind::Hang => Outcome::Hang,
-        OutcomeKind::Crash => Outcome::Crash {
-            reason: v
-                .get("reason")
-                .and_then(Value::as_str)
-                .unwrap_or("unrecorded crash reason")
-                .to_string(),
-        },
-    };
-    let read =
-        v.get("read").and_then(Value::as_bool).ok_or_else(|| "missing \"read\"".to_string())?;
-    let record = SingleBitRecord {
-        trial: field("trial")?,
-        site: FaultSite {
-            wg: u32::try_from(field("wg")?).map_err(|_| "\"wg\" out of range".to_string())?,
-            after_retired: field("after")?,
-            reg: u8::try_from(field("reg")?).map_err(|_| "\"reg\" out of range".to_string())?,
-            lane: u8::try_from(field("lane")?).map_err(|_| "\"lane\" out of range".to_string())?,
-            bit: u8::try_from(field("bit")?).map_err(|_| "\"bit\" out of range".to_string())?,
-        },
-        outcome,
-        read_before_overwrite: read,
-    };
-    Ok((record, field("us")?))
-}
-
-/// The campaign-config flag pairs every worker needs (everything but
-/// `--trials` / `--attempt`, which are per-lease).
-pub(crate) fn campaign_flags(workload_name: &str, cfg: &CampaignConfig) -> Vec<String> {
-    let scale = match cfg.scale {
-        Scale::Test => "test",
-        Scale::Paper => "paper",
-    };
-    [
-        ("--workload", workload_name.to_string()),
-        ("--seed", cfg.seed.to_string()),
-        ("--scale", scale.to_string()),
-        ("--hang-factor", cfg.hang_factor.to_string()),
-        ("--wrap-oob", cfg.wrap_oob.to_string()),
-        ("--mode-bits", cfg.mode_bits.to_string()),
-    ]
-    .into_iter()
-    .flat_map(|(k, v)| [k.to_string(), v])
-    .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Worker side
-// ---------------------------------------------------------------------------
-
-pub(crate) fn drill(var: &str) -> Option<u64> {
-    std::env::var(var).ok()?.parse().ok()
-}
-
-/// Deliver SIGKILL to this process — the kill drill simulates an external
-/// killer (OOM, operator), which no in-process handler can observe.
-pub(crate) fn sigkill_self() -> ! {
-    let pid = std::process::id().to_string();
-    let _ = Command::new("kill").args(["-9", &pid]).status();
-    // No `kill` binary on PATH: abort still exercises the death path.
-    std::process::abort();
-}
-
-pub(crate) fn flag<'a>(args: &'a [String], name: &str) -> Result<&'a str, String> {
-    args.windows(2)
-        .find(|w| w[0] == name)
-        .map(|w| w[1].as_str())
-        .ok_or_else(|| format!("missing worker flag {name}"))
-}
-
-/// The worker-side trial engine: golden run, sampler, and arena built once,
-/// then reused for every trial of every shard. The `__worker` subprocess
-/// builds one per invocation; the `__serve` daemon builds one per
-/// connection and amortizes it across leases.
-pub(crate) struct ShardExecutor {
-    cfg: CampaignConfig,
-    golden: GoldenShape,
-    sampler: SiteSampler,
-    arena: mbavf_sim::TrialArena,
-}
-
-impl ShardExecutor {
-    /// Run the golden reference and prepare the trial arena.
-    pub(crate) fn new(workload: &Workload, cfg: CampaignConfig) -> Result<ShardExecutor, String> {
-        let golden = golden_shape(workload, &cfg).map_err(|d| format!("golden run failed: {d}"))?;
-        let sampler = SiteSampler::new(&golden.per_wg_retired, golden.num_vregs)
-            .map_err(|e| e.to_string())?;
-        let inst = workload.build(cfg.scale);
-        let arena =
-            mbavf_sim::TrialArena::new(inst.program, inst.mem, inst.workgroups, cfg.wrap_oob);
-        Ok(ShardExecutor { cfg, golden, sampler, arena })
-    }
-
-    /// Execute one trial, returning its record and wall-clock microseconds.
-    pub(crate) fn run_trial(&mut self, trial: u64) -> (SingleBitRecord, u64) {
-        let site = self.sampler.sample(self.cfg.seed, trial);
-        let t0 = Instant::now();
-        let (outcome, read) =
-            run_one_arena(&mut self.arena, &self.golden, site, self.cfg.mode_bits.max(1));
-        let us = t0.elapsed().as_micros() as u64;
-        (SingleBitRecord { trial, site, outcome, read_before_overwrite: read }, us)
-    }
-}
-
-fn worker_run(args: &[String]) -> Result<(), String> {
-    let workload_name = flag(args, "--workload")?;
-    let parse_u64 = |name: &str| -> Result<u64, String> {
-        flag(args, name)?.parse::<u64>().map_err(|_| format!("bad integer for {name}"))
-    };
-    let scale = match flag(args, "--scale")? {
-        "test" => Scale::Test,
-        "paper" => Scale::Paper,
-        other => return Err(format!("unknown scale {other:?}")),
-    };
-    let wrap_oob = match flag(args, "--wrap-oob")? {
-        "true" => true,
-        "false" => false,
-        other => return Err(format!("bad --wrap-oob {other:?}")),
-    };
-    let trials = parse_trials(flag(args, "--trials")?)?;
-    let attempt = parse_u64("--attempt")? as u32;
-    let cfg = CampaignConfig {
-        seed: parse_u64("--seed")?,
-        // The budget is excluded from the fingerprint; any value covering
-        // the shard works.
-        injections: trials.len().max(1),
-        scale,
-        hang_factor: parse_u64("--hang-factor")?,
-        wrap_oob,
-        mode_bits: u8::try_from(parse_u64("--mode-bits")?)
-            .map_err(|_| "--mode-bits out of range".to_string())?,
-    };
-    let workload =
-        by_name(workload_name).ok_or_else(|| format!("unknown workload {workload_name:?}"))?;
-    let fingerprint = checkpoint::config_fingerprint(workload.name, &cfg);
-
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let io = |e: std::io::Error| format!("worker stdout: {e}");
-    writeln!(out, "{{\"mbavf_worker\": {PROTOCOL_VERSION}, \"fingerprint\": {fingerprint}}}")
-        .map_err(io)?;
-    out.flush().map_err(io)?;
-
-    let mut exec = ShardExecutor::new(&workload, cfg)?;
-    for &trial in &trials {
-        // Fault drills, used by torture tests and the CI smoke job. Checked
-        // only here, in the worker: the supervisor never drills itself.
-        if drill("MBAVF_ABORT_DRILL") == Some(trial) {
-            std::process::abort();
-        }
-        if attempt == 0 && drill("MBAVF_KILL_DRILL") == Some(trial) {
-            sigkill_self();
-        }
-        if attempt == 0 && drill("MBAVF_TRUNC_DRILL") == Some(trial) {
-            // A torn stdout write: partial line, no newline, clean exit.
-            let _ = write!(out, "{{\"trial\": {trial}, \"wg\": 0");
-            let _ = out.flush();
-            return Ok(());
-        }
-        let (record, us) = exec.run_trial(trial);
-        writeln!(out, "{}", render_record_line(&record, us)).map_err(io)?;
-        out.flush().map_err(io)?;
-    }
-    writeln!(out, "{{\"done\": {}}}", trials.len()).map_err(io)?;
-    out.flush().map_err(io)?;
-    Ok(())
-}
-
-/// Entry point for the hidden `__worker` argv. Hosting binaries (the
-/// campaign CLI, `harness = false` test binaries) must call this before
-/// anything else when `argv[1] == "__worker"`, passing the remaining
-/// arguments, and exit with the returned code.
-///
-/// On a fatal configuration error the worker emits `{"error": "<detail>"}`
-/// and returns exit code 10, which the supervisor reports as
-/// [`SupervisorError::WorkerFatal`] instead of retrying.
-pub fn worker_main(args: &[String]) -> i32 {
-    match worker_run(args) {
-        Ok(()) => 0,
-        Err(detail) => {
-            let mut line = String::from("{\"error\": ");
-            json::write_str(&mut line, &detail);
-            line.push('}');
-            println!("{line}");
-            let _ = std::io::stdout().flush();
-            10
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Supervisor side
-// ---------------------------------------------------------------------------
-
 enum ShardRun {
     /// Worker finished every remaining trial.
     Done,
     /// Worker died or lost its lease (signal, abort, truncated stream,
-    /// watchdog, lease expiry, connection loss). `handshaken` records
-    /// whether the worker ever answered the lease: a death before the
-    /// handshake is the channel failing, not the trial.
-    Died { progress: bool, handshaken: bool, detail: String },
+    /// watchdog, lease expiry, connection loss). `channel` records whether
+    /// the failure is charged to the channel rather than the head trial:
+    /// a worker that dies before answering the lease never ran it.
+    Died { progress: bool, channel: bool, detail: String },
     /// Non-retryable worker failure.
     Fatal(SupervisorError),
-    /// First line was not a valid handshake for this campaign.
+    /// The first message was not a valid handshake for this campaign.
     Mismatch(String),
-    /// The worker sent a record conflicting with committed state — a trust
-    /// failure charged to the endpoint (`quarantined` reports whether it
-    /// crossed the ledger's budget), not a campaign-fatal protocol error.
+    /// The worker sent a record conflicting with committed state, or one
+    /// the audit caught diverging — a trust failure charged to the endpoint
+    /// (`quarantined` reports whether it crossed the ledger's budget, which
+    /// bars the endpoint for the rest of the campaign), not a
+    /// campaign-fatal protocol error.
     Hostile { quarantined: bool, detail: String },
-    /// An audit divergence pushed the endpoint past the trust ledger's
-    /// failure budget; it is quarantined for the rest of the campaign.
-    Quarantined { detail: String },
 }
 
 /// What the pre-commit audit concluded about one record.
@@ -746,9 +530,10 @@ struct SupCtx<'a> {
     sampler: Option<&'a SiteSampler>,
     shared: &'a Shared,
     prior_poison: usize,
-    /// Local re-executor for audited records; built once when auditing is
-    /// on and trials are pending. Serializes audits across handlers.
-    auditor: Option<Mutex<ShardExecutor>>,
+    /// Local re-executor for audited records, over the supervisor's own
+    /// golden shape and sampler; built when auditing is on and trials are
+    /// pending. Serializes audits across handlers.
+    auditor: Option<Mutex<TrialExecutor<'a>>>,
     /// Per-endpoint trust state plus the campaign-wide audit counters.
     ledger: TrustLedger,
     queue: LeaseQueue,
@@ -756,7 +541,6 @@ struct SupCtx<'a> {
     fatal: Mutex<Option<SupervisorError>>,
     degrade: AtomicBool,
     stop: AtomicBool,
-    live_children: AtomicUsize,
     handlers: usize,
     retired: AtomicUsize,
 }
@@ -799,31 +583,46 @@ impl SupCtx<'_> {
     }
 
     /// Build handler `id`'s channel to its worker.
-    fn make_transport(&self, id: usize) -> Box<dyn Transport> {
-        match &self.sup.transport {
-            TransportKind::Pipe => Box::new(PipeTransport::new(
-                self.sup.worker_cmd.clone(),
-                self.sup.worker_env.clone(),
-                campaign_flags(self.workload_name, self.cfg),
-                self.sup.shard_timeout,
-            )),
-            TransportKind::Tcp { endpoints } => Box::new(TcpTransport::new(
-                endpoints[id % endpoints.len()].clone(),
-                self.sup.lease_timeout,
-                render_hello(self.workload_name, self.cfg, self.sup.lease_timeout),
-            )),
+    fn make_transport(&self, id: usize) -> Transport {
+        let hello = render_hello(
+            self.workload_name,
+            self.cfg,
+            self.sup.lease_timeout,
+            self.runner.batch_width,
+        );
+        let connector = match &self.sup.transport {
+            TransportKind::Pipe => Connector::Spawn {
+                argv: self.sup.worker_cmd.clone(),
+                env: self.sup.worker_env.clone(),
+                watchdog: self.sup.shard_timeout,
+            },
+            TransportKind::Tcp { endpoints } => Connector::Dial {
+                addr: endpoints[id % endpoints.len()].clone(),
+                lease: self.sup.lease_timeout,
+            },
+        };
+        Transport::new(connector, hello)
+    }
+
+    /// A channel — spawn or dial, hello or lease send, or a worker dying
+    /// before it answers — failed past its retry budget: a remote endpoint
+    /// is declared dead (its shard is re-offered); a local one degrades the
+    /// campaign while nothing is committed, and is fatal after.
+    fn channel_dead(&self, transport: &Transport, detail: String) -> ShardEnd {
+        if transport.is_remote() {
+            return ShardEnd::EndpointDead { detail };
         }
+        if !self.try_degrade() {
+            self.raise_fatal(SupervisorError::Spawn { detail });
+        }
+        ShardEnd::Stop
     }
 
     /// Stream one lease's messages, committing records as they arrive.
     /// Committed trials are removed from `remaining`, so a retry re-leases
-    /// only what is still missing — and the head of `remaining` is always
-    /// the trial the last death is attributable to.
-    fn stream_shard(
-        &self,
-        transport: &mut dyn Transport,
-        remaining: &mut VecDeque<u64>,
-    ) -> ShardRun {
+    /// only what is still missing — and after a one-trial-at-a-time lease
+    /// the head of `remaining` is the trial a death is attributable to.
+    fn stream_shard(&self, transport: &mut Transport, remaining: &mut VecDeque<u64>) -> ShardRun {
         let mut lease = Lease::new(transport.policy());
         let mut progress = false;
         let mut handshaken = false;
@@ -837,7 +636,7 @@ impl SupCtx<'_> {
                 transport.revoke();
                 return ShardRun::Died {
                     progress,
-                    handshaken,
+                    channel: !handshaken && transport.is_remote(),
                     detail: "supervisor shutdown".into(),
                 };
             }
@@ -854,7 +653,7 @@ impl SupCtx<'_> {
                             transport.revoke();
                             return ShardRun::Died {
                                 progress,
-                                handshaken,
+                                channel: false,
                                 detail: format!("cancelled ({reason}); drain failed: {detail}"),
                             };
                         }
@@ -866,208 +665,199 @@ impl SupCtx<'_> {
                     transport.revoke();
                     return ShardRun::Died {
                         progress,
-                        handshaken,
+                        channel: !handshaken && transport.is_remote(),
                         detail: format!("cancelled ({reason})"),
                     };
                 }
             }
-            match transport.recv(lease.poll_wait()) {
-                ChannelEvent::Msg(line) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    if !handshaken {
-                        let parsed = json::parse(&line).ok();
-                        // An error can precede the handshake: the daemon
-                        // rejected our hello, or the worker rejected its
-                        // flags. A fatal configuration error either way.
-                        if let Some(detail) =
-                            parsed.as_ref().and_then(|v| v.get("error")).and_then(Value::as_str)
-                        {
-                            let detail = detail.to_string();
-                            transport.revoke();
-                            return ShardRun::Fatal(SupervisorError::WorkerFatal { detail });
-                        }
-                        let ok = parsed.is_some_and(|v| {
-                            v.get("mbavf_worker").and_then(Value::as_u64) == Some(PROTOCOL_VERSION)
-                                && v.get("fingerprint").and_then(Value::as_u64)
-                                    == Some(self.fingerprint)
-                        });
-                        if !ok {
-                            transport.revoke();
-                            let head: String = line.chars().take(120).collect();
-                            return ShardRun::Mismatch(format!(
-                                "expected worker handshake, got {head:?}"
-                            ));
-                        }
-                        handshaken = true;
-                        lease.renew();
-                        continue;
-                    }
-                    let Ok(v) = json::parse(&line) else {
-                        // A torn line: the worker died mid-write. The EOF
-                        // that follows drives the retry; nothing to commit.
-                        continue;
-                    };
-                    if let Some(n) = v.get("hb").and_then(Value::as_u64) {
-                        if last_hb != Some(n) {
-                            last_hb = Some(n);
-                            lease.renew();
-                        }
-                        continue;
-                    }
-                    if v.get("drained").is_some() {
-                        // The daemon honored our drain frame: its in-flight
-                        // trial is committed (we streamed it above), its
-                        // lease is flushed back, and it parted cleanly. The
-                        // shard's leftovers stay pending for the resume.
-                        transport.finish();
-                        return ShardRun::Died {
-                            progress,
-                            handshaken,
-                            detail: "endpoint drained after cancellation".into(),
-                        };
-                    }
-                    if let Some(detail) = v.get("error").and_then(Value::as_str) {
-                        let detail = detail.to_string();
-                        transport.revoke();
-                        return ShardRun::Fatal(SupervisorError::WorkerFatal { detail });
-                    }
-                    if v.get("done").is_some() {
-                        transport.finish();
-                        return if remaining.is_empty() {
-                            ShardRun::Done
-                        } else {
-                            ShardRun::Fatal(SupervisorError::Protocol {
-                                detail: format!(
-                                    "worker reported done with {} trials unaccounted for",
-                                    remaining.len()
-                                ),
-                            })
-                        };
-                    }
-                    let (record, us) = match parse_record_line(&v) {
-                        Ok(r) => r,
-                        Err(detail) => {
-                            transport.revoke();
-                            return ShardRun::Fatal(SupervisorError::Protocol {
-                                detail: format!("bad record line: {detail}"),
-                            });
-                        }
-                    };
-                    let trial = record.trial;
-                    let leased = remaining.iter().position(|&t| t == trial);
-                    // Trust-but-verify: re-execute sampled records through
-                    // the local arena path *before* they reach the WAL. The
-                    // sample is a pure function of (seed, trial), so it is
-                    // invariant under the worker count and endpoint layout;
-                    // only leased (first-delivery) records are audited, so
-                    // each selected trial is audited exactly once. On
-                    // divergence the local re-execution wins the tie: the
-                    // local record is committed, the remote one discarded.
-                    let (mut record, mut us) = (record, us);
-                    let mut audit = AuditOutcome::Skipped;
-                    if leased.is_some() {
-                        if let (Some(policy), Some(auditor)) = (self.sup.audit, &self.auditor) {
-                            if policy.selects(self.cfg.seed, trial) {
-                                let (local, local_us) =
-                                    auditor.lock().expect("auditor lock").run_trial(trial);
-                                if local == record {
-                                    audit = AuditOutcome::Passed;
-                                } else {
-                                    audit = AuditOutcome::Diverged;
-                                    record = local;
-                                    us = local_us;
-                                }
-                            }
-                        }
-                    }
-                    match self.shared.commit_remote(record, us, leased.is_some()) {
-                        RemoteCommit::Fresh(done) => {
-                            let pos = leased.expect("fresh commits are leased");
-                            remaining.remove(pos);
-                            progress = true;
-                            lease.renew();
-                            if let Some(path) = &self.runner.checkpoint {
-                                if done.is_multiple_of(self.runner.checkpoint_every) {
-                                    self.shared.snapshot(
-                                        self.workload_name,
-                                        self.fingerprint,
-                                        self.cfg.mode_bits,
-                                        path,
-                                    );
-                                }
-                            }
-                            crate::signals::preempt_drill(done);
-                            match audit {
-                                AuditOutcome::Skipped => {}
-                                AuditOutcome::Passed => self.ledger.record_pass(),
-                                AuditOutcome::Diverged => {
-                                    let endpoint = transport.endpoint();
-                                    eprintln!(
-                                        "warning: audit divergence on trial {trial}: endpoint {endpoint} disagrees with local re-execution; the local record was committed"
-                                    );
-                                    if self.ledger.record_divergence(&endpoint) {
-                                        transport.revoke();
-                                        return ShardRun::Quarantined {
-                                            detail: format!(
-                                                "quarantined by the trust ledger after an audit divergence on trial {trial}"
-                                            ),
-                                        };
-                                    }
-                                }
-                            }
-                        }
-                        RemoteCommit::Duplicate => {
-                            // A replay of a record committed by an earlier
-                            // lease (reconnect, duplicated frames): dropped
-                            // by the merge, never recounted.
-                            if let Some(pos) = leased {
-                                remaining.remove(pos);
-                                progress = true;
-                            }
-                            lease.renew();
-                        }
-                        RemoteCommit::Conflict { detail } => {
-                            // A record contradicting committed state is a
-                            // trust failure, charged to the endpoint's
-                            // retry budget and trust ledger — not silently
-                            // formatted into a fatal error.
-                            let quarantined = self.ledger.record_conflict(&transport.endpoint());
-                            transport.revoke();
-                            return ShardRun::Hostile { quarantined, detail };
-                        }
-                        RemoteCommit::Foreign => {
-                            transport.revoke();
-                            return ShardRun::Fatal(SupervisorError::Protocol {
-                                detail: format!("worker emitted trial {trial} outside its shard"),
-                            });
-                        }
-                    }
+            let msg = match transport.recv(lease.poll_wait()) {
+                ChannelEvent::Msg(msg) => msg,
+                ChannelEvent::Garbage(detail) if !handshaken => {
+                    transport.revoke();
+                    return ShardRun::Mismatch(format!("expected worker handshake: {detail}"));
+                }
+                ChannelEvent::Garbage(detail) => {
+                    transport.revoke();
+                    return ShardRun::Died { progress, channel: false, detail };
                 }
                 ChannelEvent::Idle => {
                     if lease.expired() {
                         let detail = lease.describe(remaining.len());
                         transport.revoke();
-                        return ShardRun::Died { progress, handshaken, detail };
+                        // A silent local worker is the trial's problem (the
+                        // watchdog); a silent remote one may be a dial into
+                        // a dying listener's backlog.
+                        let channel = !handshaken && transport.is_remote();
+                        return ShardRun::Died { progress, channel, detail };
                     }
+                    continue;
                 }
                 ChannelEvent::Eof { status } => {
                     // A worker that drained its shard but lost the sentinel
                     // did all the work; don't retry an empty shard.
-                    return if remaining.is_empty() {
-                        transport.finish();
-                        ShardRun::Done
-                    } else {
-                        ShardRun::Died {
-                            progress,
-                            handshaken,
-                            detail: format!(
-                                "worker died ({status}) with {} trials left",
-                                remaining.len()
-                            ),
-                        }
+                    if remaining.is_empty() {
+                        return ShardRun::Done;
+                    }
+                    return ShardRun::Died {
+                        progress,
+                        channel: !handshaken,
+                        detail: format!(
+                            "worker died ({status}) with {} trials left",
+                            remaining.len()
+                        ),
                     };
+                }
+            };
+            let v = json::parse(&msg).unwrap_or(Value::Null);
+            // An error can precede the handshake: the worker rejected our
+            // hello. A fatal configuration error either way.
+            if let Some(detail) = v.get("error").and_then(Value::as_str) {
+                let detail = detail.to_string();
+                transport.revoke();
+                return ShardRun::Fatal(SupervisorError::WorkerFatal { detail });
+            }
+            if !handshaken {
+                let ok = v.get("mbavf_worker").and_then(Value::as_u64) == Some(PROTOCOL_VERSION)
+                    && v.get("fingerprint").and_then(Value::as_u64) == Some(self.fingerprint);
+                if !ok {
+                    transport.revoke();
+                    let head: String = msg.chars().take(120).collect();
+                    return ShardRun::Mismatch(format!("expected worker handshake, got {head:?}"));
+                }
+                handshaken = true;
+                lease.renew();
+                continue;
+            }
+            if let Some(n) = v.get("hb").and_then(Value::as_u64) {
+                if last_hb != Some(n) {
+                    last_hb = Some(n);
+                    lease.renew();
+                }
+                continue;
+            }
+            if v.get("drained").is_some() {
+                // The daemon honored our drain frame: its in-flight trials
+                // are committed (we streamed them above), its lease is
+                // flushed back, and it parted cleanly. The shard's
+                // leftovers stay pending for the resume.
+                return ShardRun::Died {
+                    progress,
+                    channel: false,
+                    detail: "endpoint drained after cancellation".into(),
+                };
+            }
+            if v.get("done").is_some() {
+                return if remaining.is_empty() {
+                    ShardRun::Done
+                } else {
+                    ShardRun::Fatal(SupervisorError::Protocol {
+                        detail: format!(
+                            "worker reported done with {} trials unaccounted for",
+                            remaining.len()
+                        ),
+                    })
+                };
+            }
+            let (mut record, mut us) = match parse_record(&v) {
+                Ok(r) => r,
+                Err(detail) => {
+                    transport.revoke();
+                    return ShardRun::Fatal(SupervisorError::Protocol {
+                        detail: format!("bad record frame: {detail}"),
+                    });
+                }
+            };
+            let trial = record.trial;
+            let leased = remaining.iter().position(|&t| t == trial);
+            // Trust-but-verify: re-execute sampled records locally *before*
+            // they reach the WAL. The sample is a pure function of (seed,
+            // trial), so it is invariant under the worker count and endpoint
+            // layout; only leased (first-delivery) records are audited, so
+            // each selected trial is audited exactly once. On divergence the
+            // local re-execution wins the tie: the local record is
+            // committed, the remote one discarded.
+            let mut audit = AuditOutcome::Skipped;
+            if leased.is_some() {
+                if let (Some(policy), Some(auditor)) = (self.sup.audit, &self.auditor) {
+                    if policy.selects(self.cfg.seed, trial) {
+                        let mut local = None;
+                        let Ok(()) =
+                            auditor.lock().expect("auditor lock").run_group(&[trial], |r, t| {
+                                local = Some((r, t));
+                                Ok::<(), std::convert::Infallible>(())
+                            });
+                        let (local, local_us) = local.expect("one trial, one record");
+                        if local == record {
+                            audit = AuditOutcome::Passed;
+                        } else {
+                            audit = AuditOutcome::Diverged;
+                            record = local;
+                            us = local_us;
+                        }
+                    }
+                }
+            }
+            match self.shared.commit_remote(record, us, leased.is_some()) {
+                RemoteCommit::Fresh(done) => {
+                    let pos = leased.expect("fresh commits are leased");
+                    remaining.remove(pos);
+                    progress = true;
+                    lease.renew();
+                    if let Some(path) = &self.runner.checkpoint {
+                        if done.is_multiple_of(self.runner.checkpoint_every) {
+                            self.shared.snapshot(
+                                self.workload_name,
+                                self.fingerprint,
+                                self.cfg.mode_bits,
+                                path,
+                            );
+                        }
+                    }
+                    crate::signals::preempt_drill(done);
+                    match audit {
+                        AuditOutcome::Skipped => {}
+                        AuditOutcome::Passed => self.ledger.record_pass(),
+                        AuditOutcome::Diverged => {
+                            let endpoint = transport.endpoint();
+                            eprintln!(
+                                "warning: audit divergence on trial {trial}: endpoint {endpoint} disagrees with local re-execution; the local record was committed"
+                            );
+                            if self.ledger.record_divergence(&endpoint) {
+                                transport.revoke();
+                                return ShardRun::Hostile {
+                                    quarantined: true,
+                                    detail: format!(
+                                        "quarantined by the trust ledger after an audit divergence on trial {trial}"
+                                    ),
+                                };
+                            }
+                        }
+                    }
+                }
+                RemoteCommit::Duplicate => {
+                    // A replay of a record committed by an earlier lease
+                    // (reconnect, duplicated frames): dropped by the merge,
+                    // never recounted.
+                    if let Some(pos) = leased {
+                        remaining.remove(pos);
+                        progress = true;
+                    }
+                    lease.renew();
+                }
+                RemoteCommit::Conflict { detail } => {
+                    // A record contradicting committed state is a trust
+                    // failure, charged to the endpoint's retry budget and
+                    // trust ledger — not silently formatted into a fatal
+                    // error.
+                    let quarantined = self.ledger.record_conflict(&transport.endpoint());
+                    transport.revoke();
+                    return ShardRun::Hostile { quarantined, detail };
+                }
+                RemoteCommit::Foreign => {
+                    transport.revoke();
+                    return ShardRun::Fatal(SupervisorError::Protocol {
+                        detail: format!("worker emitted trial {trial} outside its shard"),
+                    });
                 }
             }
         }
@@ -1076,13 +866,11 @@ impl SupCtx<'_> {
     /// Drive one shard to completion: lease/re-lease with jittered backoff,
     /// poison the head trial after repeated no-progress failure, declare
     /// the endpoint dead when it stays unreachable.
-    fn run_shard(
-        &self,
-        transport: &mut dyn Transport,
-        handler: usize,
-        shard: &mut Shard,
-    ) -> ShardEnd {
+    fn run_shard(&self, transport: &mut Transport, handler: usize, shard: &mut Shard) -> ShardEnd {
         let mut lease_fails: u32 = 0;
+        // A death in a batched lease cannot be pinned on the head trial: it
+        // charges no trial, but later leases run one trial at a time.
+        let mut narrowed = false;
         while !shard.remaining.is_empty() {
             if self.should_stop() {
                 return ShardEnd::Stop;
@@ -1121,46 +909,44 @@ impl SupCtx<'_> {
                 }
                 shard.attempts = 0;
                 shard.last_fail = String::from("never ran");
+                narrowed = false;
                 continue;
             }
-            let failures = shard.attempts.max(lease_fails);
-            if failures > 0 {
-                std::thread::sleep(self.backoff(handler, failures));
+            // Workers batch attempt 0 only.
+            let attempt = shard.attempts + u32::from(narrowed) + lease_fails;
+            let batched = attempt == 0 && self.runner.batch_width > 1;
+            if attempt > 0 {
+                std::thread::sleep(self.backoff(handler, attempt));
             }
             let trials: Vec<u64> = shard.remaining.iter().copied().collect();
-            if let Err(detail) = transport.lease(&trials, shard.attempts + lease_fails) {
-                if !transport.is_remote() && self.try_degrade() {
-                    return ShardEnd::Stop;
-                }
+            if let Err(detail) = transport.lease(&trials, attempt) {
                 lease_fails += 1;
                 if lease_fails > self.sup.max_retries {
-                    if transport.is_remote() {
-                        return ShardEnd::EndpointDead { detail };
-                    }
-                    self.raise_fatal(SupervisorError::Spawn { detail });
-                    return ShardEnd::Stop;
+                    return self.channel_dead(transport, detail);
                 }
                 continue;
             }
-            self.live_children.fetch_add(1, Ordering::SeqCst);
-            let run = self.stream_shard(transport, &mut shard.remaining);
-            self.live_children.fetch_sub(1, Ordering::SeqCst);
-            match run {
+            match self.stream_shard(transport, &mut shard.remaining) {
                 ShardRun::Done => return ShardEnd::Finished,
-                ShardRun::Died { progress, handshaken, detail } => {
-                    if !handshaken && transport.is_remote() {
-                        // The connection died before the daemon answered the
-                        // lease — e.g. a dial that landed in a dying
-                        // listener's backlog. The trial never ran, so charge
-                        // the endpoint's retry budget, not the trial's.
+                ShardRun::Died { progress, channel, detail } => {
+                    if channel {
+                        // The worker died before answering the lease — a
+                        // torn lease frame, a child that exited on start-up,
+                        // a dial that landed in a dying listener's backlog.
+                        // The trial never ran, so charge the channel's retry
+                        // budget, not the trial's.
                         lease_fails += 1;
                         if lease_fails > self.sup.max_retries {
-                            return ShardEnd::EndpointDead { detail };
+                            return self.channel_dead(transport, detail);
                         }
                         continue;
                     }
                     lease_fails = 0;
-                    shard.attempts = if progress { 1 } else { shard.attempts + 1 };
+                    if batched {
+                        narrowed = true;
+                    } else {
+                        shard.attempts = if progress { 1 } else { shard.attempts + 1 };
+                    }
                     shard.last_fail = detail;
                 }
                 ShardRun::Fatal(e) => {
@@ -1169,9 +955,9 @@ impl SupCtx<'_> {
                 }
                 ShardRun::Hostile { quarantined, detail } => {
                     if !transport.is_remote() {
-                        // A local subprocess contradicting committed state
-                        // is a determinism bug, not a trust problem — fail
-                        // loudly, exactly as before auditing existed.
+                        // A local subprocess contradicting committed state or
+                        // local re-execution is a determinism bug in this very
+                        // binary, not a trust problem — fail loudly.
                         self.raise_fatal(SupervisorError::Protocol { detail });
                         return ShardEnd::Stop;
                     }
@@ -1181,15 +967,6 @@ impl SupCtx<'_> {
                     if quarantined || lease_fails > self.sup.max_retries {
                         return ShardEnd::EndpointDead { detail };
                     }
-                }
-                ShardRun::Quarantined { detail } => {
-                    if transport.is_remote() {
-                        return ShardEnd::EndpointDead { detail };
-                    }
-                    // A local worker diverging from local re-execution is
-                    // nondeterminism in this very process — campaign-fatal.
-                    self.raise_fatal(SupervisorError::Protocol { detail });
-                    return ShardEnd::Stop;
                 }
                 ShardRun::Mismatch(detail) => {
                     if self.try_degrade() {
@@ -1218,31 +995,20 @@ impl SupCtx<'_> {
     /// for the surviving handlers and retires.
     fn drive(&self, id: usize) {
         let mut transport = self.make_transport(id);
-        loop {
-            if self.should_stop() {
-                return;
-            }
-            match self.queue.take() {
-                Some(mut shard) => match self.run_shard(transport.as_mut(), id, &mut shard) {
-                    ShardEnd::Finished => {}
-                    ShardEnd::Stop => return,
-                    ShardEnd::EndpointDead { detail } => {
-                        eprintln!(
-                            "warning: worker endpoint {} lost ({detail}); re-offering its shard",
-                            transport.endpoint()
-                        );
-                        self.queue.give_back(shard);
-                        return;
-                    }
-                },
-                None => {
-                    // Another handler may yet give its shard back if its
-                    // endpoint dies mid-stream; stay alive while anyone is
-                    // still streaming.
-                    if self.live_children.load(Ordering::SeqCst) > 0 {
-                        std::thread::sleep(Duration::from_millis(25));
-                        continue;
-                    }
+        // `take` blocks while the queue is empty but another handler still
+        // holds a shard it may give back, so an idle survivor outlives a
+        // dying endpoint's redial and backoff.
+        while !self.should_stop() {
+            let Some(mut shard) = self.queue.take() else { return };
+            match self.run_shard(&mut transport, id, &mut shard) {
+                ShardEnd::Finished => {}
+                ShardEnd::Stop => return,
+                ShardEnd::EndpointDead { detail } => {
+                    eprintln!(
+                        "warning: worker endpoint {} lost ({detail}); re-offering its shard",
+                        transport.endpoint()
+                    );
+                    self.queue.give_back(shard);
                     return;
                 }
             }
@@ -1295,11 +1061,7 @@ pub fn run_supervised(
     runner: &RunnerConfig,
     sup: &SupervisorConfig,
 ) -> Result<CampaignReport, InjectError> {
-    if runner.checkpoint.is_some() && runner.checkpoint_every == 0 {
-        return Err(InjectError::BadConfig {
-            detail: "checkpoint_every must be at least 1 when checkpointing".into(),
-        });
-    }
+    runner.validate()?;
     if sup.shard_size == 0 {
         return Err(InjectError::BadConfig { detail: "shard_size must be at least 1".into() });
     }
@@ -1309,20 +1071,8 @@ pub fn run_supervised(
         }
     }
 
-    let golden = golden_shape(workload, cfg).map_err(|detail| InjectError::GoldenRunFailed {
-        workload: workload.name.to_string(),
-        detail,
-    })?;
-    let sampler = if cfg.injections == 0 {
-        None
-    } else {
-        Some(SiteSampler::new(&golden.per_wg_retired, golden.num_vregs).map_err(|e| match e {
-            InjectError::EmptySampleSpace { detail } => {
-                InjectError::EmptySampleSpace { detail: format!("{}: {detail}", workload.name) }
-            }
-            other => other,
-        })?)
-    };
+    let golden = golden_shape(workload, cfg)?;
+    let sampler = campaign_sampler(workload, cfg, &golden)?;
     let fingerprint = checkpoint::config_fingerprint(workload.name, cfg);
 
     let durable =
@@ -1380,15 +1130,14 @@ pub fn run_supervised(
         TransportKind::Tcp { .. } => "tcp",
     };
 
-    // The audit re-executor walks the same arena path the workers do:
-    // golden run, sampler, and arena built once, reused for every audited
-    // trial. Built only when something can actually be audited.
-    let auditor = if sup.audit.is_some() && !pending.is_empty() {
-        Some(Mutex::new(ShardExecutor::new(workload, *cfg).map_err(|detail| {
-            InjectError::GoldenRunFailed { workload: workload.name.to_string(), detail }
-        })?))
-    } else {
-        None
+    // The audit re-executor walks the same executor the workers do, over
+    // this campaign's own golden shape and sampler. Built only when
+    // something can actually be audited.
+    let auditor = match (sup.audit, &sampler) {
+        (Some(_), Some(sampler)) if !pending.is_empty() => {
+            Some(Mutex::new(TrialExecutor::new(workload, cfg, &golden, sampler, 1)))
+        }
+        _ => None,
     };
 
     let shared = Shared::new(slots, pending.len());
@@ -1410,7 +1159,6 @@ pub fn run_supervised(
         fatal: Mutex::new(None),
         degrade: AtomicBool::new(false),
         stop: AtomicBool::new(false),
-        live_children: AtomicUsize::new(0),
         handlers: workers,
         retired: AtomicUsize::new(0),
     };
@@ -1425,7 +1173,7 @@ pub fn run_supervised(
                         resumed,
                         cfg.injections,
                         label,
-                        &|| ctx.live_children.load(Ordering::SeqCst),
+                        &|| ctx.queue.leased(),
                         &|| {
                             let mut extra = String::new();
                             if let Some(reason) = ctx.runner.cancel.cancelled() {
@@ -1561,6 +1309,7 @@ pub fn run_supervised(
 mod tests {
     use super::*;
     use crate::runner::run_campaign;
+    use mbavf_workloads::by_name;
 
     fn cfg(n: usize) -> CampaignConfig {
         CampaignConfig { seed: 0x5EED, injections: n, ..CampaignConfig::default() }
@@ -1575,6 +1324,14 @@ mod tests {
 
     fn sh(script: &str) -> Option<Vec<String>> {
         Some(vec!["sh".into(), "-c".into(), script.into()])
+    }
+
+    /// A shell command printing `payload` as one frame: the big-endian
+    /// length prefix as octal escapes, then the payload verbatim.
+    fn printf_frame(payload: &str) -> String {
+        let prefix: String =
+            (payload.len() as u32).to_be_bytes().iter().map(|b| format!("\\{b:03o}")).collect();
+        format!("printf '{prefix}%s' '{payload}'")
     }
 
     #[test]
@@ -1650,9 +1407,11 @@ mod tests {
             },
         ];
         for r in records {
-            let line = render_record_line(&r, 1234);
+            let mut wire: Vec<u8> = Vec::new();
+            transport::write_frame(&mut wire, &transport::render_record(&r, 1234)).unwrap();
+            let line = transport::read_frame(&mut wire.as_slice()).unwrap().unwrap();
             let v = json::parse(&line).unwrap();
-            assert_eq!(parse_record_line(&v).unwrap(), (r, 1234));
+            assert_eq!(parse_record(&v).unwrap(), (r, 1234));
         }
     }
 
@@ -1785,8 +1544,11 @@ mod tests {
         let cfg = cfg(4);
         let fp = checkpoint::config_fingerprint(w.name, &cfg);
         let script = format!(
-            "echo '{{\"mbavf_worker\": {PROTOCOL_VERSION}, \"fingerprint\": {fp}}}'; \
-             echo '{{\"error\": \"unknown workload\"}}'; exit 10"
+            "{}; {}; exit 10",
+            printf_frame(&format!(
+                "{{\"mbavf_worker\": {PROTOCOL_VERSION}, \"fingerprint\": {fp}}}"
+            )),
+            printf_frame("{\"error\": \"unknown workload\"}"),
         );
         let sup =
             SupervisorConfig { workers: 1, worker_cmd: sh(&script), ..SupervisorConfig::default() };
@@ -1808,7 +1570,10 @@ mod tests {
         let cfg = cfg(4);
         let sup = SupervisorConfig {
             workers: 1,
-            worker_cmd: sh("echo '{\"error\": \"bad integer for --seed\"}'; exit 10"),
+            worker_cmd: sh(&format!(
+                "{}; exit 10",
+                printf_frame("{\"error\": \"bad integer for --seed\"}")
+            )),
             ..SupervisorConfig::default()
         };
         let err = run_supervised(&w, &cfg, &RunnerConfig::serial(), &sup).unwrap_err();
@@ -1822,33 +1587,50 @@ mod tests {
 
     #[test]
     fn worker_cli_flag_parsing_rejects_garbage() {
-        let args = |list: &[(&str, &str)]| -> Vec<String> {
-            list.iter().flat_map(|(k, v)| [k.to_string(), v.to_string()]).collect()
+        let fields = |list: &[(&str, &str)]| -> String {
+            let body: Vec<String> = list.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+            format!("{{{}}}", body.join(", "))
         };
-        let base = args(&[
-            ("--workload", "transpose"),
-            ("--seed", "1"),
-            ("--scale", "test"),
-            ("--hang-factor", "8"),
-            ("--wrap-oob", "true"),
-            ("--mode-bits", "1"),
-            ("--trials", "0-3"),
-            ("--attempt", "0"),
-        ]);
-        // A fully valid argv parses up to the golden run (exercised by the
+        let version = PROTOCOL_VERSION.to_string();
+        let hello = [
+            ("mbavf_hello", version.as_str()),
+            ("lease_ms", "30000"),
+            ("batch_width", "1"),
+            ("workload", "\"transpose\""),
+            ("seed", "1"),
+            ("scale", "\"test\""),
+            ("hang_factor", "8"),
+            ("wrap_oob", "true"),
+            ("mode_bits", "1"),
+        ];
+        let lease = [("trials", "\"0-3\""), ("attempt", "0")];
+        let parse = |hello: &[(&str, &str)], lease: &[(&str, &str)]| -> Result<(), String> {
+            transport::parse_hello(&json::parse(&fields(hello)).unwrap())?;
+            transport::parse_lease(&json::parse(&fields(lease)).unwrap())?;
+            Ok(())
+        };
+        // A fully valid session parses (running it is exercised by the
         // torture tests); here, check each way it can be malformed.
-        for (flag_name, bad) in [
-            ("--scale", "huge"),
-            ("--wrap-oob", "yes"),
-            ("--trials", "5-1"),
-            ("--seed", "not-a-number"),
-            ("--workload", "no-such-workload"),
+        assert_eq!(parse(&hello, &lease), Ok(()));
+        for (name, bad) in [
+            ("scale", "\"huge\""),
+            ("wrap_oob", "\"yes\""),
+            ("trials", "\"5-1\""),
+            ("seed", "\"not-a-number\""),
+            ("workload", "\"no-such-workload\""),
         ] {
-            let mut argv = base.clone();
-            let i = argv.iter().position(|a| a == flag_name).unwrap();
-            argv[i + 1] = bad.to_string();
-            assert!(worker_run(&argv).is_err(), "{flag_name}={bad} must be rejected");
+            fn swap<'a>(
+                list: &[(&'a str, &'a str)],
+                name: &str,
+                bad: &'a str,
+            ) -> Vec<(&'a str, &'a str)> {
+                list.iter().map(|&(k, v)| (k, if k == name { bad } else { v })).collect()
+            }
+            let (h, l) = (swap(&hello, name, bad), swap(&lease, name, bad));
+            assert!(parse(&h, &l).is_err(), "{name}={bad} must be rejected");
         }
-        assert!(worker_run(&base[2..]).is_err(), "missing --workload must be rejected");
+        let missing: Vec<(&str, &str)> =
+            hello.iter().copied().filter(|(k, _)| *k != "workload").collect();
+        assert!(parse(&missing, &lease).is_err(), "missing workload must be rejected");
     }
 }

@@ -1,46 +1,50 @@
-//! The `__serve` worker daemon: a socket front-end for the shard executor.
+//! The worker side of the protocol: one session handler, served over a
+//! socket by the `__serve` daemon and over stdin/stdout by `__worker`
+//! subprocesses.
 //!
-//! `campaign --listen host:port` runs one of these per worker machine. The
+//! `campaign --listen host:port` runs one daemon per worker machine. The
 //! daemon binds the socket, announces the bound address on stdout as a
 //! single JSON line (`{"mbavf_serve": 1, "listen": "ip:port"}` — port 0
 //! requests an ephemeral port, so callers parse this line), and then serves
-//! supervisor connections forever, one thread per connection.
+//! supervisor connections forever, one thread per connection. A `__worker`
+//! subprocess serves exactly one session on its stdin/stdout and exits
+//! when the supervisor closes its stdin.
 //!
-//! Per connection: the supervisor sends a *hello* frame carrying the
-//! protocol version, the lease budget, and the full campaign config; the
-//! daemon builds a [`ShardExecutor`] from it (golden run, sampler, arena —
-//! paid once per connection, reused across leases). Each subsequent *lease*
-//! frame names a trial range; the daemon answers with the fingerprint
-//! handshake, one record frame per trial in order, and a `done` sentinel,
-//! while a side thread emits `{"hb": N}` heartbeat frames (N = trials
-//! completed in this lease) so the supervisor's progress-gated lease can
-//! distinguish a slow-but-alive worker from a dead or livelocked one.
+//! Per session: the supervisor sends a *hello* frame carrying the protocol
+//! version, the lease budget, the batch width, and the full campaign
+//! config; the worker builds a [`TrialExecutor`] from it (golden run,
+//! sampler, arena or lockstep batch — paid once per session, reused across
+//! leases). Each subsequent *lease* frame names a trial range; the worker
+//! answers with the fingerprint handshake, one record frame per trial in
+//! order, and a `done` sentinel, while a side thread emits `{"hb": N}`
+//! heartbeat frames (N = trials completed in this lease) so the
+//! supervisor's progress-gated lease can distinguish a slow-but-alive
+//! worker from a dead or livelocked one.
 //!
-//! The daemon holds no shard state between leases — after any disconnect
-//! the supervisor simply reconnects and leases whatever its merge is still
-//! missing, and the idempotent merge makes re-delivered records harmless.
+//! The worker holds no shard state between leases — after any disconnect
+//! the supervisor simply reconnects (or respawns) and leases whatever its
+//! merge is still missing, and the idempotent merge makes re-delivered
+//! records harmless.
 //!
 //! **Drain:** a cancelled supervisor sends a `{"drain": true}` frame
-//! instead of severing the socket. The daemon finishes the trial in
+//! instead of severing the socket. The daemon finishes the trial group in
 //! flight, stops taking new ones, and answers `{"drained": N}` (N = trials
 //! completed in the interrupted lease) — the record stream up to that
 //! point has already been delivered, so the supervisor's merge holds
 //! everything the daemon did. The connection then parts cleanly and the
 //! daemon keeps serving other (or future) campaigns.
 
-use super::transport::{read_frame, write_frame};
-use super::{
-    drill, flag, parse_trials, render_record_line, sigkill_self, ShardExecutor, PROTOCOL_VERSION,
-};
-use crate::campaign::{CampaignConfig, Outcome};
-use crate::chaos::{ChaosEngine, ChaosSpec, Fault, OpClass};
+use super::transport::{parse_hello, parse_lease, render_record, spawn_reader, write_frame, Hello};
+use super::PROTOCOL_VERSION;
+use crate::campaign::{golden_shape, Outcome, SiteSampler, TrialExecutor};
+use crate::chaos::{ChaosEngine, Fault, OpClass};
 use crate::checkpoint;
-use crate::json::{self, Value};
-use mbavf_workloads::{by_name, Scale};
-use std::io::{BufReader, Write as _};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use crate::drill::{self, drills};
+use crate::json;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 /// Version of the `__serve` stdout announcement line.
@@ -61,8 +65,34 @@ pub fn serve_main(args: &[String]) -> i32 {
     }
 }
 
+/// Entry point for the hidden `__worker` argv. Hosting binaries (the
+/// campaign CLI, `harness = false` test binaries) must call this before
+/// anything else when `argv[1] == "__worker"` and exit with the returned
+/// code. The worker serves one session on stdin/stdout; the arguments are
+/// ignored, since the campaign config arrives in the hello frame.
+///
+/// Returns 0 once the supervisor closes the session, 1 if it failed. A
+/// fatal configuration error is also sent as an `{"error": "<detail>"}`
+/// frame, which the supervisor reports as [`SupervisorError::WorkerFatal`]
+/// instead of retrying.
+///
+/// [`SupervisorError::WorkerFatal`]: mbavf_core::error::SupervisorError::WorkerFatal
+pub fn worker_main(_args: &[String]) -> i32 {
+    match handle_conn(std::io::stdin(), std::io::stdout()) {
+        Ok(()) => 0,
+        Err(detail) => {
+            eprintln!("worker: {detail}");
+            1
+        }
+    }
+}
+
 fn serve_run(args: &[String]) -> Result<(), String> {
-    let addr = flag(args, "--listen")?;
+    let addr = args
+        .windows(2)
+        .find(|w| w[0] == "--listen")
+        .map(|w| w[1].as_str())
+        .ok_or("missing --listen HOST:PORT")?;
     let listener = TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
     // The announcement line is the daemon's only stdout output; callers
@@ -73,7 +103,15 @@ fn serve_run(args: &[String]) -> Result<(), String> {
         match stream {
             Ok(stream) => {
                 std::thread::spawn(move || {
-                    if let Err(detail) = handle_conn(stream) {
+                    let _ = stream.set_nodelay(true);
+                    let result = match (stream.try_clone(), stream.try_clone()) {
+                        (Ok(reader), Ok(writer)) => handle_conn(reader, writer),
+                        (Err(e), _) | (_, Err(e)) => Err(format!("cloning stream: {e}")),
+                    };
+                    // The session's reader thread blocks on its own clone of
+                    // the socket; only a shutdown unblocks it.
+                    let _ = stream.shutdown(Shutdown::Both);
+                    if let Err(detail) = result {
                         eprintln!("serve: connection failed: {detail}");
                     }
                 });
@@ -84,131 +122,68 @@ fn serve_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse the supervisor's hello frame into (workload name, campaign
-/// config, lease budget in ms).
-fn parse_hello(v: &Value) -> Result<(String, CampaignConfig, u64), String> {
-    let version = v
-        .get("mbavf_hello")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| "hello frame missing \"mbavf_hello\"".to_string())?;
-    if version != PROTOCOL_VERSION {
-        return Err(format!(
-            "unsupported protocol version {version} (this daemon speaks {PROTOCOL_VERSION})"
-        ));
-    }
-    let lease_ms = v
-        .get("lease_ms")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| "hello frame missing \"lease_ms\"".to_string())?;
-    let field = |k: &str| {
-        v.get(k).and_then(Value::as_u64).ok_or_else(|| format!("hello frame missing \"{k}\""))
-    };
-    let workload = v
-        .get("workload")
-        .and_then(Value::as_str)
-        .ok_or_else(|| "hello frame missing \"workload\"".to_string())?
-        .to_string();
-    let scale = match v.get("scale").and_then(Value::as_str) {
-        Some("test") => Scale::Test,
-        Some("paper") => Scale::Paper,
-        other => return Err(format!("hello frame has bad \"scale\" {other:?}")),
-    };
-    let cfg = CampaignConfig {
-        seed: field("seed")?,
-        // The budget is excluded from the fingerprint; the trials to run
-        // arrive per lease.
-        injections: 1,
-        scale,
-        hang_factor: field("hang_factor")?,
-        wrap_oob: v
-            .get("wrap_oob")
-            .and_then(Value::as_bool)
-            .ok_or_else(|| "hello frame missing \"wrap_oob\"".to_string())?,
-        mode_bits: u8::try_from(field("mode_bits")?)
-            .map_err(|_| "hello frame \"mode_bits\" out of range".to_string())?,
-    };
-    Ok((workload, cfg, lease_ms))
-}
-
 /// Send one frame through the shared writer (record stream and heartbeat
 /// thread interleave whole frames, never bytes).
-fn send(writer: &Mutex<TcpStream>, payload: &str) -> Result<(), String> {
-    let stream = writer.lock().expect("writer lock");
-    write_frame(&mut &*stream, payload).map_err(|e| format!("writing frame: {e}"))
+fn send<W: Write>(writer: &Mutex<W>, payload: &str) -> Result<(), String> {
+    let mut w = writer.lock().expect("writer lock");
+    write_frame(&mut *w, payload).map_err(|e| format!("writing frame: {e}"))
 }
 
-fn error_frame(detail: &str) -> String {
-    let mut line = String::from("{\"error\": ");
-    json::write_str(&mut line, detail);
-    line.push('}');
-    line
+/// Tear the stream the way a dying peer does: a length prefix promising
+/// bytes that never come.
+fn tear<W: Write>(writer: &Mutex<W>) {
+    let mut w = writer.lock().expect("writer lock");
+    let _ = w.write_all(&64u32.to_be_bytes());
+    let _ = w.write_all(b"{\"trial\": ");
+    let _ = w.flush();
 }
 
-fn handle_conn(stream: TcpStream) -> Result<(), String> {
-    let _ = stream.set_nodelay(true);
-    let mut reader =
-        BufReader::new(stream.try_clone().map_err(|e| format!("cloning stream: {e}"))?);
-    let writer = Arc::new(Mutex::new(stream));
-
-    let hello = match read_frame(&mut reader) {
-        Ok(Some(frame)) => frame,
-        Ok(None) => return Ok(()), // probe connection; nothing to serve
-        Err(e) => return Err(format!("reading hello: {e}")),
+/// Serve one session: hello, then leases until the supervisor closes.
+fn handle_conn<R, W>(reader: R, writer: W) -> Result<(), String>
+where
+    R: Read + Send + 'static,
+    W: Write + Send,
+{
+    // Incoming frames flow through a reader thread so the lease executor
+    // can poll for a mid-lease `drain` frame between trial groups without
+    // blocking on the stream. The channel disconnects when the supervisor
+    // closes its end.
+    let frames = spawn_reader(reader);
+    let writer = Mutex::new(writer);
+    let hello = match frames.recv() {
+        Ok(Ok(frame)) => frame,
+        Ok(Err(detail)) => return Err(format!("reading hello: {detail}")),
+        Err(mpsc::RecvError) => return Ok(()), // probe connection; nothing to serve
     };
-    let v = json::parse(&hello).map_err(|d| format!("bad hello frame: {d}"))?;
-    let fatal = |writer: &Mutex<TcpStream>, detail: String| -> String {
-        let _ = send(writer, &error_frame(&detail));
+    // A fatal configuration error is reported in-band before hanging up.
+    let fatal = |detail: String| -> String {
+        let mut frame = String::from("{\"error\": ");
+        json::write_str(&mut frame, &detail);
+        frame.push('}');
+        let _ = send(&writer, &frame);
         detail
     };
-    let (workload_name, cfg, lease_ms) = match parse_hello(&v) {
-        Ok(h) => h,
-        Err(detail) => return Err(fatal(&writer, detail)),
-    };
-    let Some(workload) = by_name(&workload_name) else {
-        return Err(fatal(&writer, format!("unknown workload {workload_name:?}")));
-    };
-    let mut exec = match ShardExecutor::new(&workload, cfg) {
-        Ok(exec) => exec,
-        Err(detail) => return Err(fatal(&writer, detail)),
-    };
+    let v = json::parse(&hello).map_err(|d| fatal(format!("bad hello frame: {d}")))?;
+    let Hello { workload, cfg, lease_ms, batch_width } = parse_hello(&v).map_err(fatal)?;
+    let golden = golden_shape(&workload, &cfg).map_err(|e| fatal(e.to_string()))?;
+    let sampler = SiteSampler::new(&golden.per_wg_retired, golden.num_vregs)
+        .map_err(|e| fatal(e.to_string()))?;
+    let mut exec = TrialExecutor::new(&workload, &cfg, &golden, &sampler, batch_width);
     let fingerprint = checkpoint::config_fingerprint(workload.name, &cfg);
     let handshake =
         format!("{{\"mbavf_worker\": {PROTOCOL_VERSION}, \"fingerprint\": {fingerprint}}}");
     let hb_every = Duration::from_millis((lease_ms / 3).max(10));
 
-    // Byzantine drill: MBAVF_LIE_DRILL="<seed>:<rate>" makes this daemon a
-    // mercurial core — it computes every trial correctly, then flips the
-    // verdict on a deterministic chaos schedule before reporting it. The
-    // engine is connection-local and NEVER installed globally: a global
-    // install would fault the daemon's own frame writes, and this drill is
-    // about lies, not losses. Checked only here, in the daemon: the
-    // supervisor never drills itself.
-    let liar = match std::env::var("MBAVF_LIE_DRILL") {
-        Ok(spec) => Some(
-            ChaosSpec::parse(&spec).map(ChaosEngine::new).map_err(|d| format!("lie drill: {d}"))?,
-        ),
-        Err(_) => None,
+    // Byzantine drill: a mercurial core computes every trial correctly,
+    // then flips the verdict on a deterministic chaos schedule before
+    // reporting it. The engine is session-local and NEVER installed
+    // globally: a global install would fault the worker's own frame
+    // writes, and this drill is about lies, not losses.
+    let liar = match &drills().lie {
+        Some(Ok(spec)) => Some(ChaosEngine::new(*spec)),
+        Some(Err(detail)) => return Err(detail.clone()),
+        None => None,
     };
-
-    // Incoming frames flow through a reader thread so the lease executor
-    // can poll for a mid-lease `drain` frame between trials without
-    // blocking on the socket. Reader exit without an error means the
-    // supervisor closed cleanly (the channel disconnects).
-    let (frame_tx, frames) = mpsc::channel::<Result<String, String>>();
-    std::thread::spawn(move || loop {
-        match read_frame(&mut reader) {
-            Ok(Some(frame)) => {
-                if frame_tx.send(Ok(frame)).is_err() {
-                    return;
-                }
-            }
-            Ok(None) => return,
-            Err(e) => {
-                let _ = frame_tx.send(Err(e.to_string()));
-                return;
-            }
-        }
-    });
 
     loop {
         let lease = match frames.recv() {
@@ -223,14 +198,12 @@ fn handle_conn(stream: TcpStream) -> Result<(), String> {
             send(&writer, "{\"drained\": 0}")?;
             continue;
         }
-        let trials = parse_trials(
-            v.get("trials")
-                .and_then(Value::as_str)
-                .ok_or_else(|| "lease frame missing \"trials\"".to_string())?,
-        )?;
-        let attempt = v.get("attempt").and_then(Value::as_u64).unwrap_or(0) as u32;
+        let (trials, attempt) = parse_lease(&v)?;
         send(&writer, &handshake)?;
-        run_lease(&writer, &frames, &mut exec, &trials, attempt, hb_every, liar.as_ref())?;
+        let lease = Lease { writer: &writer, frames: &frames, trials: &trials, attempt };
+        if !lease.run(&mut exec, hb_every, liar.as_ref())? {
+            return Ok(());
+        }
     }
 }
 
@@ -245,46 +218,80 @@ fn flip_outcome(outcome: Outcome) -> Outcome {
     }
 }
 
-/// Execute one lease: stream record frames (with the heartbeat thread
-/// running alongside) and the `done` sentinel. A `drain` frame arriving
-/// mid-lease stops the executor at the next trial boundary: the daemon
-/// acks `{"drained": N}` instead of `done` and returns cleanly, leaving
-/// the lease's leftover trials for the resume.
-fn run_lease(
-    writer: &Arc<Mutex<TcpStream>>,
-    frames: &mpsc::Receiver<Result<String, String>>,
-    exec: &mut ShardExecutor,
-    trials: &[u64],
+/// How a lease's trial loop ended.
+enum LeaseEnd {
+    /// Every trial's record was sent.
+    Done,
+    /// A `drain` frame stopped the lease after this many records.
+    Drained(u64),
+    /// A drill tore the stream; end the session.
+    HangUp,
+}
+
+/// One lease being served.
+struct Lease<'a, W> {
+    writer: &'a Mutex<W>,
+    frames: &'a mpsc::Receiver<Result<String, String>>,
+    trials: &'a [u64],
     attempt: u32,
-    hb_every: Duration,
-    liar: Option<&ChaosEngine>,
-) -> Result<(), String> {
-    let progress = Arc::new(AtomicU64::new(0));
-    let (stop_tx, stop_rx) = mpsc::channel::<()>();
-    let hb = {
-        let writer = Arc::clone(writer);
-        let progress = Arc::clone(&progress);
-        std::thread::spawn(move || loop {
-            match stop_rx.recv_timeout(hb_every) {
-                Err(mpsc::RecvTimeoutError::Timeout) => {
+}
+
+impl<W: Write + Send> Lease<'_, W> {
+    /// Stream the lease's record frames with the heartbeat thread running
+    /// alongside, then — once no heartbeat can trail it — the `done` or
+    /// `drained` frame. Returns whether to keep serving the session.
+    fn run(
+        &self,
+        exec: &mut TrialExecutor,
+        hb_every: Duration,
+        liar: Option<&ChaosEngine>,
+    ) -> Result<bool, String> {
+        let progress = AtomicU64::new(0);
+        let (stop_tx, stop_rx) = mpsc::channel::<()>();
+        let end = std::thread::scope(|scope| {
+            let (writer, progress) = (self.writer, &progress);
+            scope.spawn(move || {
+                while let Err(mpsc::RecvTimeoutError::Timeout) = stop_rx.recv_timeout(hb_every) {
                     let frame = format!("{{\"hb\": {}}}", progress.load(Ordering::SeqCst));
-                    if send(&writer, &frame).is_err() {
+                    if send(writer, &frame).is_err() {
                         return; // lease revoked: the supervisor severed us
                     }
                 }
-                _ => return,
-            }
-        })
-    };
+            });
+            let result = self.serve(exec, liar, progress);
+            let _ = stop_tx.send(());
+            result
+        })?;
+        match end {
+            LeaseEnd::Done => send(self.writer, &format!("{{\"done\": {}}}", self.trials.len()))?,
+            LeaseEnd::Drained(n) => send(self.writer, &format!("{{\"drained\": {n}}}"))?,
+            LeaseEnd::HangUp => return Ok(false),
+        }
+        Ok(true)
+    }
 
-    let result = (|| -> Result<(), String> {
+    /// Run the lease's trials group by group. A group is the trial
+    /// boundary: a `drain` frame is honoured, and the drills of
+    /// [`crate::drill`] fire, only between groups. The first attempt runs
+    /// groups of the executor's batch width; a retry runs one trial per
+    /// group, so a trial that kills its worker is isolated at the head of
+    /// the shard however wide the batch.
+    fn serve(
+        &self,
+        exec: &mut TrialExecutor,
+        liar: Option<&ChaosEngine>,
+        progress: &AtomicU64,
+    ) -> Result<LeaseEnd, String> {
+        let d = drills();
+        let first = self.attempt == 0;
+        let group_len = if first { exec.width() } else { 1 };
         let mut sent: Vec<String> = Vec::new();
-        for (i, &trial) in trials.iter().enumerate() {
-            // Trial boundary: honor a drain request before starting the
-            // next trial. Every record through trial `i-1` is already on
-            // the wire, so `drained: i` tells the supervisor exactly what
-            // this lease accomplished.
-            match frames.try_recv() {
+        let mut done = 0u64;
+        for group in self.trials.chunks(group_len) {
+            // Every record of earlier groups is already on the wire, so the
+            // drained count tells the supervisor exactly what this lease
+            // accomplished.
+            match self.frames.try_recv() {
                 Ok(Ok(frame)) => {
                     let v = json::parse(&frame).map_err(|d| format!("bad mid-lease frame: {d}"))?;
                     if v.get("drain").is_none() {
@@ -293,61 +300,58 @@ fn run_lease(
                             frame.chars().take(120).collect::<String>()
                         ));
                     }
-                    return send(writer, &format!("{{\"drained\": {i}}}"));
+                    return Ok(LeaseEnd::Drained(done));
                 }
                 Ok(Err(detail)) => return Err(format!("reading mid-lease: {detail}")),
                 Err(mpsc::TryRecvError::Empty) => {}
                 Err(mpsc::TryRecvError::Disconnected) => {
-                    // The supervisor severed us: the lease is revoked. The
-                    // write side would discover this too; stop running
-                    // trials nobody will merge.
+                    // The supervisor severed us: the lease is revoked. Stop
+                    // running trials nobody will merge.
                     return Err("connection closed mid-lease".into());
                 }
             }
-            // Network fault drills, used by torture tests and the CI smoke
-            // job. Checked only here, in the daemon: the supervisor never
-            // drills itself.
-            if drill("MBAVF_NET_KILL_DRILL") == Some(trial) {
-                sigkill_self();
+            if drill::hits(d.abort, group) {
+                std::process::abort();
             }
-            if drill("MBAVF_NET_STALL_DRILL") == Some(trial) {
+            if (first && drill::hits(d.kill, group)) || drill::hits(d.net_kill, group) {
+                drill::sigkill_self();
+            }
+            if first && drill::hits(d.trunc, group) {
+                tear(self.writer);
+                return Ok(LeaseEnd::HangUp);
+            }
+            if drill::hits(d.net_stall, group) {
                 // Freeze the executor with the heartbeat still beating: the
                 // supervisor's progress-gated lease must expire and revoke
                 // even though frames keep arriving.
                 std::thread::sleep(Duration::from_secs(3600));
             }
-            let (mut record, us) = exec.run_trial(trial);
-            if let Some(engine) = liar {
-                if engine.draw(OpClass::Verdict) == Fault::VerdictFlip {
+            exec.run_group(group, |mut record, us| {
+                if liar.is_some_and(|e| e.draw(OpClass::Verdict) == Fault::VerdictFlip) {
                     // The Byzantine lie: a correct computation, reported
                     // wrong — the failure mode only an audit can catch.
                     record.outcome = flip_outcome(record.outcome);
                 }
-            }
-            let line = render_record_line(&record, us);
-            send(writer, &line)?;
-            sent.push(line);
-            progress.store(i as u64 + 1, Ordering::SeqCst);
-            if attempt == 0 && drill("MBAVF_NET_DRILL") == Some(trial) {
+                let payload = render_record(&record, us);
+                send(self.writer, &payload)?;
+                done += 1;
+                progress.store(done, Ordering::SeqCst);
+                if d.net.is_some() {
+                    sent.push(payload);
+                }
+                Ok::<(), String>(())
+            })?;
+            if first && drill::hits(d.net, group) {
                 // Hostile-network drill: replay every record already sent
                 // in this lease (duplicates the merge must drop without
-                // recounting), then sever the connection mid-frame — a torn
-                // length-prefixed write promising bytes that never come.
-                for line in &sent {
-                    send(writer, line)?;
+                // recounting), then tear a frame and hang up.
+                for payload in &sent {
+                    send(self.writer, payload)?;
                 }
-                let stream = writer.lock().expect("writer lock");
-                let _ = (&*stream).write_all(&64u32.to_be_bytes());
-                let _ = (&*stream).write_all(b"{\"trial\": ");
-                let _ = (&*stream).flush();
-                let _ = stream.shutdown(Shutdown::Both);
+                tear(self.writer);
                 return Err("net drill severed the connection".into());
             }
         }
-        send(writer, &format!("{{\"done\": {}}}", trials.len()))
-    })();
-
-    let _ = stop_tx.send(());
-    let _ = hb.join();
-    result
+        Ok(LeaseEnd::Done)
+    }
 }

@@ -2,8 +2,8 @@
 //! arbitrary on-disk damage — every possible truncation length and every
 //! single-byte corruption of a valid file — without panicking; the campaign
 //! engine must quarantine damage and carry on; and the process-isolation
-//! supervisor must survive workers that abort, get SIGKILLed, or tear their
-//! stdout mid-record.
+//! supervisor must survive workers that abort, get SIGKILLed, tear their
+//! stdout mid-record, or exit without reading their stdin.
 //!
 //! This test runs with `harness = false` and a hand-rolled main: the
 //! supervisor re-executes the current binary with a hidden `__worker` argv,
@@ -59,6 +59,10 @@ fn main() {
             process_isolation_matches_thread_mode_bit_exact,
         ),
         ("abort_drill_poisons_and_resumes_clean", abort_drill_poisons_and_resumes_clean),
+        (
+            "batched_abort_drill_poisons_only_the_killer",
+            batched_abort_drill_poisons_only_the_killer,
+        ),
         ("sigkill_mid_shard_recovers_bit_exact", sigkill_mid_shard_recovers_bit_exact),
         ("stdout_truncation_recovers_bit_exact", stdout_truncation_recovers_bit_exact),
         ("process_kill_resume_converges_cross_mode", process_kill_resume_converges_cross_mode),
@@ -70,6 +74,12 @@ fn main() {
         (
             "tcp_byzantine_liar_is_quarantined_and_bit_exact",
             tcp_byzantine_liar_is_quarantined_and_bit_exact,
+        ),
+        ("process_workers_persist_across_leases", process_workers_persist_across_leases),
+        // Last: it restores SIGPIPE's default disposition for the process.
+        (
+            "supervisor_survives_default_sigpipe_against_a_deaf_worker",
+            supervisor_survives_default_sigpipe_against_a_deaf_worker,
         ),
     ];
     let filter = args.iter().skip(1).find(|a| !a.starts_with('-')).cloned();
@@ -472,13 +482,17 @@ fn process_isolation_matches_thread_mode_bit_exact() {
         thread.summary.count(OutcomeKind::Crash) > 0,
         "campaign must include crash outcomes to exercise reason transport"
     );
-    for (workers, shard_size) in [(1usize, 8usize), (2, 8), (3, 64)] {
-        let sup = test_supervisor(workers, shard_size);
-        let report = run_supervised(&w, &cfg, &RunnerConfig::serial(), &sup).unwrap();
-        assert!(report.complete, "workers={workers} shard={shard_size}");
-        assert!(report.poisoned.is_empty(), "workers={workers} shard={shard_size}");
-        assert_eq!(report.summary, thread.summary, "workers={workers} shard={shard_size}");
-        assert!(report.trial_latency.is_some(), "worker latencies must reach the report");
+    for width in [1usize, 8] {
+        for (workers, shard_size) in [(1usize, 8usize), (2, 8), (3, 64)] {
+            let sup = test_supervisor(workers, shard_size);
+            let runner = RunnerConfig { batch_width: width, ..RunnerConfig::serial() };
+            let report = run_supervised(&w, &cfg, &runner, &sup).unwrap();
+            let at = format!("workers={workers} shard={shard_size} width={width}");
+            assert!(report.complete, "{at}");
+            assert!(report.poisoned.is_empty(), "{at}");
+            assert_eq!(report.summary, thread.summary, "{at}");
+            assert!(report.trial_latency.is_some(), "worker latencies must reach the report");
+        }
     }
 }
 
@@ -537,6 +551,30 @@ fn abort_drill_poisons_and_resumes_clean() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A killer trial in the middle of a lockstep group, with no retries to
+/// spare: the batched death charges no trial, the one-trial-at-a-time
+/// re-lease pins the death on the killer, and only the killer is poisoned —
+/// every other record equals thread mode at either batch width.
+fn batched_abort_drill_poisons_only_the_killer() {
+    let w = by_name("fast_walsh").expect("registered");
+    let cfg = CampaignConfig { seed: 7, injections: 16, ..CampaignConfig::default() };
+    let thread = run_campaign(&w, &cfg, &RunnerConfig::serial()).unwrap();
+    let marker = 5u64;
+    let expected: Vec<_> =
+        thread.summary.records.iter().filter(|r| r.trial != marker).cloned().collect();
+    for width in [1usize, 8] {
+        let mut sup = test_supervisor(2, 8);
+        sup.max_retries = 0;
+        sup.worker_env = vec![("MBAVF_ABORT_DRILL".into(), marker.to_string())];
+        let runner = RunnerConfig { batch_width: width, ..RunnerConfig::serial() };
+        let report = run_supervised(&w, &cfg, &runner, &sup).unwrap();
+        assert!(report.complete, "width={width}");
+        let poisoned: Vec<u64> = report.poisoned.iter().map(|p| p.trial).collect();
+        assert_eq!(poisoned, [marker], "width={width}");
+        assert_eq!(report.summary.records, expected, "width={width}");
+    }
+}
+
 /// SIGKILL mid-shard: the worker kills itself (simulating the OOM killer)
 /// before the marker trial on its first attempt only. The respawn must pick
 /// up exactly the remaining trials and converge bit-exact with no poison.
@@ -552,8 +590,8 @@ fn sigkill_mid_shard_recovers_bit_exact() {
     assert_eq!(report.summary, thread.summary);
 }
 
-/// Torn stdout: the worker writes half a record line, flushes, and exits
-/// cleanly. The supervisor must discard the partial line, respawn on the
+/// Torn stdout: the worker writes half a record frame, flushes, and exits
+/// cleanly. The supervisor must discard the partial frame, respawn on the
 /// remaining trials, and converge bit-exact with no poison.
 fn stdout_truncation_recovers_bit_exact() {
     let w = by_name("fast_walsh").expect("registered");
@@ -564,6 +602,56 @@ fn stdout_truncation_recovers_bit_exact() {
     let report = run_supervised(&w, &cfg, &RunnerConfig::serial(), &sup).unwrap();
     assert!(report.complete);
     assert!(report.poisoned.is_empty(), "truncation must recover, not poison");
+    assert_eq!(report.summary, thread.summary);
+}
+
+/// Local workers live across leases the way a daemon connection does: one
+/// worker serving four shards is spawned once, and the kill drill costs
+/// exactly one respawn. Spawns are counted by a `worker_cmd` wrapper that
+/// logs a line and then `exec`s this binary's `__worker` entry point.
+fn process_workers_persist_across_leases() {
+    let w = by_name("fast_walsh").expect("registered");
+    let cfg = CampaignConfig { seed: 7, injections: 16, ..CampaignConfig::default() };
+    let thread = run_campaign(&w, &cfg, &RunnerConfig::serial()).unwrap();
+    let dir = tmpdir("spawn-count");
+    let exe = std::env::current_exe().expect("current exe").to_string_lossy().into_owned();
+    for (drill, spawns) in [(None, 1usize), (Some(("MBAVF_KILL_DRILL", "6")), 2)] {
+        let log = dir.join("spawns.log");
+        std::fs::remove_file(&log).ok();
+        let mut sup = test_supervisor(1, 4);
+        sup.worker_cmd = Some(vec![
+            "sh".into(),
+            "-c".into(),
+            format!("echo spawn >> '{}'; exec \"$0\" __worker", log.display()),
+            exe.clone(),
+        ]);
+        sup.worker_env = drill.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+        let report = run_supervised(&w, &cfg, &RunnerConfig::serial(), &sup).unwrap();
+        assert!(report.complete, "{drill:?}");
+        assert!(report.poisoned.is_empty(), "{drill:?}: {:?}", report.poisoned);
+        assert_eq!(report.summary, thread.summary, "{drill:?}");
+        let logged = std::fs::read_to_string(&log).unwrap();
+        assert_eq!(logged.lines().count(), spawns, "{drill:?}: spawns logged {logged:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// With SIGPIPE at its default disposition — what `reset_sigpipe` sets in
+/// every CLI — a worker that exits without reading its stdin must not take
+/// the supervisor down with it when the hello and lease frames are written
+/// to the dead pipe. The deaths are observed through the stream, charged
+/// to the channel, and the untouched campaign degrades to thread mode.
+fn supervisor_survives_default_sigpipe_against_a_deaf_worker() {
+    mbavf_inject::reset_sigpipe();
+    let w = by_name("fast_walsh").expect("registered");
+    let cfg = CampaignConfig { seed: 7, injections: 8, ..CampaignConfig::default() };
+    let thread = run_campaign(&w, &cfg, &RunnerConfig::serial()).unwrap();
+    let mut sup = test_supervisor(2, 4);
+    sup.max_retries = 3;
+    sup.worker_cmd = Some(vec!["sh".into(), "-c".into(), "exec 0<&-; exit 0".into()]);
+    let report = run_supervised(&w, &cfg, &RunnerConfig::serial(), &sup).unwrap();
+    assert!(report.complete);
+    assert!(report.poisoned.is_empty(), "channel deaths must not poison: {:?}", report.poisoned);
     assert_eq!(report.summary, thread.summary);
 }
 
@@ -680,16 +768,20 @@ fn tcp_loopback_matches_thread_mode_bit_exact() {
 
     let (a, b) = (Daemon::spawn(&[]), Daemon::spawn(&[]));
     let sup = tcp_supervisor(vec![a.addr.clone(), b.addr.clone()], 8);
-    let report = run_supervised(&w, &cfg, &runner(&tcp_ckpt), &sup).unwrap();
-    assert!(report.complete);
-    assert!(report.poisoned.is_empty(), "{:?}", report.poisoned);
-    assert_eq!(report.summary, thread.summary);
-    assert!(report.trial_latency.is_some(), "remote latencies must reach the report");
-    assert_eq!(
-        std::fs::read(&tcp_ckpt).unwrap(),
-        std::fs::read(&thread_ckpt).unwrap(),
-        "tcp checkpoint must be byte-identical to thread mode"
-    );
+    for width in [1usize, 8] {
+        std::fs::remove_file(&tcp_ckpt).ok();
+        let runner = RunnerConfig { batch_width: width, ..runner(&tcp_ckpt) };
+        let report = run_supervised(&w, &cfg, &runner, &sup).unwrap();
+        assert!(report.complete, "width={width}");
+        assert!(report.poisoned.is_empty(), "width={width}: {:?}", report.poisoned);
+        assert_eq!(report.summary, thread.summary, "width={width}");
+        assert!(report.trial_latency.is_some(), "remote latencies must reach the report");
+        assert_eq!(
+            std::fs::read(&tcp_ckpt).unwrap(),
+            std::fs::read(&thread_ckpt).unwrap(),
+            "width={width}: tcp checkpoint must be byte-identical to thread mode"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
