@@ -1,5 +1,7 @@
 //! Micro-benchmarks for the MB-AVF analysis engine: group-sweep throughput
-//! as a function of fault-mode size, protection scheme, and windowing.
+//! as a function of fault-mode size, protection scheme, and windowing, on a
+//! dense store (every group memoized or swept) and a sparse one (most groups
+//! skipped because all their bytes have empty timelines).
 
 use mbavf_bench::microbench::{group, run};
 use mbavf_core::analysis::{mb_avf, windowed_mb_avf, AnalysisConfig};
@@ -11,6 +13,12 @@ use mbavf_core::timeline::{Interval, TimelineStore};
 /// A deterministic synthetic store resembling a busy small cache: 4KB, with
 /// a few labelled intervals per byte.
 fn synthetic_store() -> (TimelineStore, CacheGeometry) {
+    sparse_store(1)
+}
+
+/// As [`synthetic_store`], but only every `stride`-th 64-byte line is ever
+/// touched; the other bytes keep empty timelines, as in a mostly idle cache.
+fn sparse_store(stride: usize) -> (TimelineStore, CacheGeometry) {
     let geom = CacheGeometry { sets: 16, ways: 4, line_bytes: 64 };
     let total = 100_000u64;
     let mut store = TimelineStore::new(geom.bytes() as usize, total);
@@ -21,7 +29,8 @@ fn synthetic_store() -> (TimelineStore, CacheGeometry) {
         state ^= state << 17;
         state
     };
-    for b in 0..geom.bytes() as usize {
+    let line = geom.line_bytes as usize;
+    for b in (0..geom.bytes() as usize).filter(|b| (b / line).is_multiple_of(stride)) {
         let mut t = rng() % 500;
         let tl = store.byte_mut(b);
         while t < total - 600 {
@@ -63,4 +72,19 @@ fn main() {
     let cfg = AnalysisConfig::new(ProtectionKind::Parity);
     let mode = FaultMode::mx1(2);
     run("windowed_40", || windowed_mb_avf(&store, &layout, &mode, &cfg, 2500).unwrap());
+
+    // One line in 32 touched: 97% of the bytes are empty, so nearly every
+    // fault group is skipped before it is gathered.
+    let (sparse, _) = sparse_store(32);
+    group("sparse store, 3% of bytes non-empty (parity, x2 way-physical)");
+    let layout = CacheLayout::new(geom, CacheInterleave::WayPhysical(2)).unwrap();
+    let cfg = AnalysisConfig::new(ProtectionKind::Parity);
+    for m in [1u32, 4, 8] {
+        let mode = FaultMode::mx1(m);
+        run(&format!("sparse_mb_avf_{m}x1"), || mb_avf(&sparse, &layout, &mode, &cfg).unwrap());
+    }
+    let mode = FaultMode::rect(2, 2);
+    run("sparse_mb_avf_2x2", || mb_avf(&sparse, &layout, &mode, &cfg).unwrap());
+    let mode = FaultMode::mx1(2);
+    run("sparse_windowed_40", || windowed_mb_avf(&sparse, &layout, &mode, &cfg, 2500).unwrap());
 }

@@ -29,6 +29,7 @@ use crate::layout::{BitRef, PhysicalLayout};
 use crate::protection::{Action, ProtectionKind};
 use crate::timeline::{BitState, Cycle, Interval, TimelineStore};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Classification of one fault group during one cycle, in increasing order of
 /// severity (the precedence order of Section VII-B).
@@ -225,44 +226,36 @@ pub fn mb_avf<L: PhysicalLayout>(
         // Whole-run totals admit memoization: two fault groups whose member
         // bits have identical timeline *content*, bit positions, and domain
         // partition classify identically in every cycle. This collapses the
-        // 64 replicated SIMT lanes of a register file — and the sea of
-        // untouched cache bytes — into one computation each.
+        // 64 replicated SIMT lanes of a register file into one computation.
         let content_ids = content_ids(store);
-        let mut memo: HashMap<MemoKey, [u128; 3]> = HashMap::new();
-        let mut scratch = Scratch::default();
-        for group in mode.groups(layout.rows(), layout.cols())? {
-            gather_group(store, layout, mode, &group, cfg, &mut scratch)?;
-            if scratch.actions.iter().all(|a| *a == Action::Correct) {
-                continue;
-            }
+        let mut memo: HashMap<MemoKey, [u128; 3], FxBuildHasher> = HashMap::default();
+        for_each_live_group(store, layout, mode, cfg, |s| {
             let mut key = MemoKey::default();
-            for (i, b) in scratch.bits.iter().enumerate() {
-                key.push(content_ids[b.byte as usize], b.bit, scratch.region_of[i]);
+            for (b, &region) in s.bits.iter().zip(&s.region_of) {
+                key.push(content_ids[b.byte as usize], b.bit, region);
             }
-            let totals = match memo.get(&key) {
-                Some(t) => *t,
-                None => {
-                    let mut t = [0u128; 3];
-                    sweep_one_group(store, cfg, &mut scratch, &mut |class, s, e| {
-                        let d = u128::from(e - s);
-                        match class {
-                            GroupClass::FalseDue => t[0] += d,
-                            GroupClass::TrueDue => t[1] += d,
-                            GroupClass::Sdc => t[2] += d,
-                            GroupClass::UnAce => {}
-                        }
-                    });
-                    memo.insert(key, t);
-                    t
-                }
-            };
+            let totals = *memo.entry(key).or_insert_with(|| {
+                let mut t = [0u128; 3];
+                sweep_one_group(store, cfg, s, &mut |class, start, end| {
+                    let d = u128::from(end - start);
+                    match class {
+                        GroupClass::FalseDue => t[0] += d,
+                        GroupClass::TrueDue => t[1] += d,
+                        GroupClass::Sdc => t[2] += d,
+                        GroupClass::UnAce => {}
+                    }
+                });
+                t
+            });
             result.false_due_gc += totals[0];
             result.true_due_gc += totals[1];
             result.sdc_gc += totals[2];
-        }
+        })?;
     } else {
-        sweep_groups(store, layout, mode, cfg, |class, start, end| {
-            result.add(class, u128::from(end - start));
+        for_each_live_group(store, layout, mode, cfg, |s| {
+            sweep_one_group(store, cfg, s, &mut |class, start, end| {
+                result.add(class, u128::from(end - start));
+            });
         })?;
     }
     Ok(result)
@@ -304,29 +297,83 @@ pub fn mb_avf_modes<L: PhysicalLayout>(
 const MEMO_MAX_BITS: usize = 16;
 
 /// A fault group's classification fingerprint: per member bit, the canonical
-/// content id of its timeline, its bit index, and its overlapped-region id.
-/// Two groups with equal keys (under one scheme) have identical outcomes.
-#[derive(Default, PartialEq, Eq, Hash)]
+/// content id of its timeline, its bit index, and its overlapped-region id,
+/// packed as `content << 16 | bit << 8 | region`. Two groups with equal keys
+/// (under one scheme) have identical outcomes. Equality compares every
+/// entry, so a hash collision can cost time but never change a result.
+#[derive(Default, PartialEq, Eq)]
 struct MemoKey {
-    entries: [(u32, u8, u8); MEMO_MAX_BITS],
+    entries: [u64; MEMO_MAX_BITS],
     len: u8,
 }
 
 impl MemoKey {
     fn push(&mut self, content: u32, bit: u8, region: u8) {
-        self.entries[self.len as usize] = (content, bit, region);
+        self.entries[self.len as usize] =
+            u64::from(content) << 16 | u64::from(bit) << 8 | u64::from(region);
         self.len += 1;
     }
 }
 
+impl Hash for MemoKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &e in &self.entries[..self.len as usize] {
+            state.write_u64(e);
+        }
+    }
+}
+
+/// A multiply-rotate word hasher in the style of rustc's FxHash, for the
+/// engine's exact-comparison tables. Much cheaper than SipHash on short
+/// integer keys; there is no adversary to defend against here.
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+impl FxHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add(&mut self, word: u64) {
+        self.hash = self.hash.wrapping_add(word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best-mixed bits at the top; rotate some of
+        // them down into the bucket-index bits.
+        self.hash.rotate_left(26)
+    }
+}
+
 /// Canonical content id per byte: bytes with byte-for-byte identical
-/// timelines share an id (exact comparison, no hashing shortcuts).
+/// timelines share an id (exact comparison, no hashing shortcuts). Every
+/// empty timeline gets id 0 without being hashed.
 fn content_ids(store: &TimelineStore) -> Vec<u32> {
-    let mut canon: HashMap<&[Interval], u32> = HashMap::new();
+    let mut canon: HashMap<&[Interval], u32, FxBuildHasher> = HashMap::default();
     (0..store.num_bytes())
         .map(|b| {
-            let next = canon.len() as u32;
-            *canon.entry(store.byte(b).intervals()).or_insert(next)
+            let intervals = store.byte(b).intervals();
+            if intervals.is_empty() {
+                return 0;
+            }
+            let next = canon.len() as u32 + 1;
+            *canon.entry(intervals).or_insert(next)
         })
         .collect()
 }
@@ -344,31 +391,53 @@ pub fn windowed_mb_avf<L: PhysicalLayout>(
     cfg: &AnalysisConfig,
     window: Cycle,
 ) -> Result<Vec<MbAvfResult>, CoreError> {
+    let mut results = empty_windows(store, layout, mode, window)?;
+    for_each_live_group(store, layout, mode, cfg, |s| {
+        sweep_one_group(store, cfg, s, &mut |class, start, end| {
+            add_windowed(&mut results, window, class, start, end);
+        });
+    })?;
+    Ok(results)
+}
+
+/// One zeroed result per time window of `window` cycles.
+fn empty_windows<L: PhysicalLayout>(
+    store: &TimelineStore,
+    layout: &L,
+    mode: &FaultMode,
+    window: Cycle,
+) -> Result<Vec<MbAvfResult>, CoreError> {
     if window == 0 {
         return Err(CoreError::ZeroWindow);
     }
     let total = store.total_cycles();
     let groups = mode.group_count(layout.rows(), layout.cols());
     let num_windows = total.div_ceil(window) as u32;
-    let mut results: Vec<MbAvfResult> = (0..num_windows)
+    Ok((0..num_windows)
         .map(|w| {
             let start = Cycle::from(w) * window;
             let len = window.min(total - start);
             MbAvfResult::new(mode, groups, len, Some(w))
         })
-        .collect();
-    sweep_groups(store, layout, mode, cfg, |class, start, end| {
-        // Split [start, end) across window bins.
-        let mut t = start;
-        while t < end {
-            let w = (t / window) as usize;
-            let wend = (t / window + 1) * window;
-            let seg_end = end.min(wend);
-            results[w].add(class, u128::from(seg_end - t));
-            t = seg_end;
-        }
-    })?;
-    Ok(results)
+        .collect())
+}
+
+/// Split the segment `[start, end)` of `class` across window bins.
+fn add_windowed(
+    results: &mut [MbAvfResult],
+    window: Cycle,
+    class: GroupClass,
+    start: Cycle,
+    end: Cycle,
+) {
+    let mut t = start;
+    while t < end {
+        let w = (t / window) as usize;
+        let wend = (t / window + 1) * window;
+        let seg_end = end.min(wend);
+        results[w].add(class, u128::from(seg_end - t));
+        t = seg_end;
+    }
 }
 
 /// Measure the structure's *ACE locality* under `layout`: the tendency of
@@ -400,51 +469,130 @@ pub fn ace_locality<L: PhysicalLayout>(
     Ok(((2.0 * sb - mb2) / mb2).clamp(0.0, 1.0))
 }
 
-/// Enumerate groups and report every non-unACE `(class, start, end)` segment
-/// to `sink`.
-fn sweep_groups<L: PhysicalLayout>(
-    store: &TimelineStore,
-    layout: &L,
-    mode: &FaultMode,
-    cfg: &AnalysisConfig,
-    mut sink: impl FnMut(GroupClass, Cycle, Cycle),
-) -> Result<(), CoreError> {
-    let mut scratch = Scratch::default();
-    for group in mode.groups(layout.rows(), layout.cols())? {
-        gather_group(store, layout, mode, &group, cfg, &mut scratch)?;
-        if scratch.actions.iter().all(|a| *a == Action::Correct) {
-            continue; // every region corrected: the group can never err
+/// The physical rows under one anchor row's fault groups, resolved once.
+#[derive(Default)]
+struct RowBuf {
+    /// `bit_at` of every bit of rows `anchor .. anchor + mode.rows()`,
+    /// row-major.
+    bits: Vec<BitRef>,
+    /// `live[i]` counts the bits before `i` that are in range and whose
+    /// byte has a non-empty timeline.
+    live: Vec<u32>,
+    /// Whether some resolved bit lies outside the store.
+    invalid: bool,
+}
+
+impl RowBuf {
+    /// Resolve rows `anchor .. anchor + rows`; out-of-range bits are kept
+    /// but not counted live.
+    fn resolve<L: PhysicalLayout>(
+        &mut self,
+        store: &TimelineStore,
+        layout: &L,
+        anchor: u32,
+        rows: u32,
+    ) {
+        self.bits.clear();
+        self.live.clear();
+        self.live.push(0);
+        self.invalid = false;
+        let mut count = 0;
+        for row in anchor..anchor + rows {
+            for col in 0..layout.cols() {
+                let b = layout.bit_at(row, col);
+                if check_bit(b, store).is_ok() {
+                    count += u32::from(!store.byte(b.byte as usize).intervals().is_empty());
+                } else {
+                    self.invalid = true;
+                }
+                self.bits.push(b);
+                self.live.push(count);
+            }
         }
-        sweep_one_group(store, cfg, &mut scratch, &mut sink);
+    }
+
+    /// Whether bits `from .. to` include a live one.
+    fn any_live(&self, from: usize, to: usize) -> bool {
+        self.live[to] != self.live[from]
+    }
+}
+
+/// Reject a bit outside the store, as [`PhysicalLayout::validate`] does.
+fn check_bit(b: BitRef, store: &TimelineStore) -> Result<(), CoreError> {
+    if b.byte as usize >= store.num_bytes() {
+        return Err(CoreError::ByteOutOfRange { byte: b.byte, len: store.num_bytes() as u32 });
+    }
+    if b.bit >= 8 {
+        return Err(CoreError::BitOutOfRange { bit: b.bit });
     }
     Ok(())
 }
 
-/// Resolve a group's bits, partition them into overlapped regions by
-/// protection domain, and compute each region's action.
-fn gather_group<L: PhysicalLayout>(
+/// Enumerate the fault groups of `mode` in row-major anchor order and pass
+/// every group that can err to `visit`, with its bits, region ids and
+/// region actions in the [`Scratch`].
+///
+/// Each anchor row's physical rows are resolved once. A group whose bits all
+/// have empty timelines is unACE in every cycle and a group whose regions
+/// are all corrected can never err, so neither is visited. Skipping never
+/// skips validation: an out-of-range bit inside any group fails the call
+/// with the error the group-by-group sweep meets first, while one that no
+/// group covers is ignored.
+fn for_each_live_group<L: PhysicalLayout>(
     store: &TimelineStore,
     layout: &L,
     mode: &FaultMode,
-    group: &crate::geometry::FaultGroup,
     cfg: &AnalysisConfig,
-    s: &mut Scratch,
+    mut visit: impl FnMut(&mut Scratch),
 ) -> Result<(), CoreError> {
-    s.bits.clear();
+    // Fails with `ModeLargerThanLayout` when no placement fits.
+    mode.groups(layout.rows(), layout.cols())?;
+    let cols = layout.cols() as usize;
+    let anchor_cols = cols - mode.cols() as usize + 1;
+    let offsets: Vec<usize> =
+        mode.offsets().iter().map(|&(dr, dc)| dr as usize * cols + dc as usize).collect();
+    // An `Mx1` mode covers one contiguous run of the row buffer.
+    let contiguous = mode.rows() == 1 && mode.len() == mode.cols() as usize;
+    let mut row = RowBuf::default();
+    let mut s = Scratch::default();
+    for anchor in 0..=layout.rows() - mode.rows() {
+        row.resolve(store, layout, anchor, mode.rows());
+        if row.invalid {
+            for ac in 0..anchor_cols {
+                for &o in &offsets {
+                    check_bit(row.bits[ac + o], store)?;
+                }
+            }
+        }
+        for ac in 0..anchor_cols {
+            let live = if contiguous {
+                row.any_live(ac, ac + mode.len())
+            } else {
+                offsets.iter().any(|&o| row.any_live(ac + o, ac + o + 1))
+            };
+            if !live {
+                continue;
+            }
+            s.bits.clear();
+            s.bits.extend(offsets.iter().map(|&o| row.bits[ac + o]));
+            partition_regions(cfg, &mut s);
+            if s.actions.iter().all(|a| *a == Action::Correct) {
+                continue;
+            }
+            visit(&mut s);
+        }
+    }
+    Ok(())
+}
+
+/// Partition the group's bits into overlapped regions by protection domain
+/// (region ids in order of first appearance) and compute each region's
+/// action.
+fn partition_regions(cfg: &AnalysisConfig, s: &mut Scratch) {
     s.region_of.clear();
     s.actions.clear();
-    for (r, c) in group.bits(mode) {
-        let b = layout.bit_at(r, c);
-        if b.byte as usize >= store.num_bytes() {
-            return Err(CoreError::ByteOutOfRange { byte: b.byte, len: store.num_bytes() as u32 });
-        }
-        if b.bit >= 8 {
-            return Err(CoreError::BitOutOfRange { bit: b.bit });
-        }
-        s.bits.push(b);
-    }
-    // Group bits by domain. Fault modes are small (2–16 bits), so a simple
-    // O(M^2) scan beats sorting.
+    // Fault modes are small (2–16 bits), so a simple O(M^2) scan beats
+    // sorting.
     s.region_of.resize(s.bits.len(), u8::MAX);
     for i in 0..s.bits.len() {
         if s.region_of[i] != u8::MAX {
@@ -460,7 +608,6 @@ fn gather_group<L: PhysicalLayout>(
         }
         s.actions.push(cfg.scheme.action(k));
     }
-    Ok(())
 }
 
 /// Per-bit state lookup with a monotone cursor over the bit's timeline.
@@ -545,7 +692,365 @@ fn classify(cfg: &AnalysisConfig, actions: &[Action], states: &[BitState]) -> Gr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::LinearLayout;
+    use crate::geometry::FaultGroup;
+    use crate::layout::{
+        CacheGeometry, CacheInterleave, CacheLayout, LinearLayout, VgprGeometry, VgprInterleave,
+        VgprLayout,
+    };
+    use crate::rng::SplitMix64;
+    use crate::timeline::ByteTimeline;
+
+    /// The reference oracle: every group of [`FaultMode::groups`] gathered
+    /// bit by bit through `bit_at` and swept, with no row resolution, no
+    /// empty-group skip and no memo. Reports every non-unACE
+    /// `(class, start, end)` segment to `sink`.
+    fn sweep_groups<L: PhysicalLayout>(
+        store: &TimelineStore,
+        layout: &L,
+        mode: &FaultMode,
+        cfg: &AnalysisConfig,
+        mut sink: impl FnMut(GroupClass, Cycle, Cycle),
+    ) -> Result<(), CoreError> {
+        let mut scratch = Scratch::default();
+        for group in mode.groups(layout.rows(), layout.cols())? {
+            gather_group(store, layout, mode, &group, cfg, &mut scratch)?;
+            if scratch.actions.iter().all(|a| *a == Action::Correct) {
+                continue; // every region corrected: the group can never err
+            }
+            sweep_one_group(store, cfg, &mut scratch, &mut sink);
+        }
+        Ok(())
+    }
+
+    /// Resolve a group's bits one `bit_at` at a time, then partition them.
+    fn gather_group<L: PhysicalLayout>(
+        store: &TimelineStore,
+        layout: &L,
+        mode: &FaultMode,
+        group: &FaultGroup,
+        cfg: &AnalysisConfig,
+        s: &mut Scratch,
+    ) -> Result<(), CoreError> {
+        s.bits.clear();
+        for (r, c) in group.bits(mode) {
+            let b = layout.bit_at(r, c);
+            check_bit(b, store)?;
+            s.bits.push(b);
+        }
+        partition_regions(cfg, s);
+        Ok(())
+    }
+
+    fn oracle_mb_avf<L: PhysicalLayout>(
+        store: &TimelineStore,
+        layout: &L,
+        mode: &FaultMode,
+        cfg: &AnalysisConfig,
+    ) -> Result<MbAvfResult, CoreError> {
+        let groups = mode.group_count(layout.rows(), layout.cols());
+        let mut result = MbAvfResult::new(mode, groups, store.total_cycles(), None);
+        sweep_groups(store, layout, mode, cfg, |class, start, end| {
+            result.add(class, u128::from(end - start));
+        })?;
+        Ok(result)
+    }
+
+    fn oracle_windowed<L: PhysicalLayout>(
+        store: &TimelineStore,
+        layout: &L,
+        mode: &FaultMode,
+        cfg: &AnalysisConfig,
+        window: Cycle,
+    ) -> Result<Vec<MbAvfResult>, CoreError> {
+        let mut results = empty_windows(store, layout, mode, window)?;
+        sweep_groups(store, layout, mode, cfg, |class, start, end| {
+            add_windowed(&mut results, window, class, start, end);
+        })?;
+        Ok(results)
+    }
+
+    const ORACLE_CYCLES: Cycle = 300;
+
+    /// A random timeline of a few labelled intervals, none of them dropped.
+    fn random_timeline(rng: &mut SplitMix64) -> ByteTimeline {
+        let mut tl = ByteTimeline::new();
+        let mut t = rng.below(60);
+        while t < ORACLE_CYCLES - 10 {
+            let end = (t + rng.range_u64(1, 80)).min(ORACLE_CYCLES);
+            let ace_mask = rng.next_u32() as u8;
+            let checked = ace_mask == 0 || rng.bool();
+            tl.push(Interval { start: t, end, ace_mask, checked }).unwrap();
+            t = end + rng.below(100);
+        }
+        tl
+    }
+
+    /// A seeded store whose bytes are non-empty with probability `density`.
+    /// Half of the non-empty timelines come from a small shared palette, so
+    /// the content memo sees repeats across bytes.
+    fn random_store(seed: u64, bytes: usize, density: f64) -> TimelineStore {
+        let mut rng = SplitMix64::new(seed);
+        let palette: Vec<ByteTimeline> = (0..4).map(|_| random_timeline(&mut rng)).collect();
+        let mut store = TimelineStore::new(bytes, ORACLE_CYCLES);
+        for b in 0..bytes {
+            if !rng.chance(density) {
+                continue;
+            }
+            *store.byte_mut(b) = if rng.bool() {
+                palette[rng.below(palette.len() as u64) as usize].clone()
+            } else {
+                random_timeline(&mut rng)
+            };
+        }
+        store
+    }
+
+    /// Every fault-mode shape the memoized path distinguishes: contiguous
+    /// `Mx1` runs, a full rectangle, and a bounding box with holes.
+    fn oracle_modes() -> Vec<FaultMode> {
+        let mut modes: Vec<FaultMode> = (1..=8).map(FaultMode::mx1).collect();
+        modes.push(FaultMode::rect(2, 2));
+        modes.push(FaultMode::from_offsets("holes", [(0, 0), (0, 2), (1, 1)]).unwrap());
+        modes
+    }
+
+    /// Assert that `mb_avf` and `windowed_mb_avf` equal the oracle, every
+    /// field included, for every mode, scheme and precedence rule.
+    fn assert_matches_oracle<L: PhysicalLayout>(what: &str, store: &TimelineStore, layout: &L) {
+        let schemes = [
+            ProtectionKind::None,
+            ProtectionKind::Parity,
+            ProtectionKind::SecDed,
+            ProtectionKind::DecTed,
+            ProtectionKind::Crc { burst_detect: 4 },
+        ];
+        for mode in oracle_modes() {
+            for scheme in schemes {
+                for due_preempts_sdc in [false, true] {
+                    let cfg = AnalysisConfig::new(scheme).with_due_preempts_sdc(due_preempts_sdc);
+                    let ctx = format!("{what}, {mode}, {scheme:?}, preempt {due_preempts_sdc}");
+                    let got = mb_avf(store, layout, &mode, &cfg);
+                    assert_eq!(got, oracle_mb_avf(store, layout, &mode, &cfg), "{ctx}");
+                }
+            }
+            // Windowing splits the same segments, whatever the scheme.
+            for scheme in [ProtectionKind::Parity, ProtectionKind::SecDed] {
+                let cfg = AnalysisConfig::new(scheme);
+                let windows = windowed_mb_avf(store, layout, &mode, &cfg, 70);
+                let want = oracle_windowed(store, layout, &mode, &cfg, 70);
+                assert_eq!(windows, want, "{what}, {mode}, {scheme:?}, windowed");
+            }
+        }
+        // Past the memo cutoff, groups are swept one by one.
+        let big = FaultMode::rect(2, 9);
+        assert!(big.len() > MEMO_MAX_BITS);
+        for cfg in [
+            AnalysisConfig::new(ProtectionKind::Parity),
+            AnalysisConfig::new(ProtectionKind::DecTed).with_due_preempts_sdc(true),
+        ] {
+            let got = mb_avf(store, layout, &big, &cfg);
+            assert_eq!(got, oracle_mb_avf(store, layout, &big, &cfg), "{what}, {big}, {cfg:?}");
+        }
+    }
+
+    /// Check every layout kind over one 64-byte store of the given density.
+    fn assert_layouts_match_oracle(seed: u64, density: f64) {
+        let cache = CacheGeometry { sets: 2, ways: 4, line_bytes: 8 };
+        let vgpr = VgprGeometry { threads: 4, regs: 4 };
+        assert_eq!(cache.bytes(), 64);
+        assert_eq!(vgpr.bytes(), 64);
+        let store = random_store(seed, 64, density);
+        let nonempty = (0..64).filter(|&b| !store.byte(b).intervals().is_empty()).count();
+        assert!(nonempty > 0);
+        let what = format!("{nonempty}/64 non-empty");
+        assert_matches_oracle(&format!("linear, {what}"), &store, &LinearLayout::new(4, 128, 16));
+        for il in [
+            CacheInterleave::Logical(2),
+            CacheInterleave::WayPhysical(2),
+            CacheInterleave::IndexPhysical(2),
+        ] {
+            let layout = CacheLayout::new(cache, il).unwrap();
+            assert_matches_oracle(&format!("{}, {what}", il.label()), &store, &layout);
+        }
+        for il in [VgprInterleave::IntraThread(2), VgprInterleave::InterThread(2)] {
+            let layout = VgprLayout::new(vgpr, il).unwrap();
+            assert_matches_oracle(&format!("{}, {what}", il.label()), &store, &layout);
+        }
+    }
+
+    #[test]
+    fn engine_matches_oracle_on_sparse_store() {
+        assert_layouts_match_oracle(11, 0.02);
+    }
+
+    #[test]
+    fn engine_matches_oracle_on_mid_store() {
+        assert_layouts_match_oracle(12, 0.25);
+    }
+
+    #[test]
+    fn engine_matches_oracle_on_dense_store() {
+        assert_layouts_match_oracle(13, 1.0);
+    }
+
+    /// A [`LinearLayout`] with some coordinates remapped to arbitrary bits.
+    struct Patched {
+        inner: LinearLayout,
+        patches: Vec<((u32, u32), BitRef)>,
+    }
+
+    impl PhysicalLayout for Patched {
+        fn rows(&self) -> u32 {
+            self.inner.rows()
+        }
+
+        fn cols(&self) -> u32 {
+            self.inner.cols()
+        }
+
+        fn bit_at(&self, row: u32, col: u32) -> BitRef {
+            match self.patches.iter().find(|(at, _)| *at == (row, col)) {
+                Some(&(_, b)) => b,
+                None => self.inner.bit_at(row, col),
+            }
+        }
+    }
+
+    fn bad(byte: u32, bit: u8) -> BitRef {
+        BitRef { domain: 0, byte, bit }
+    }
+
+    #[test]
+    fn errors_match_the_oracle() {
+        let empty = TimelineStore::new(4, 100);
+        let busy = random_store(5, 4, 1.0);
+        let holes = FaultMode::from_offsets("diag", [(0, 0), (1, 1)]).unwrap();
+        let larger = |mode_cols, layout_cols, mode_rows, layout_rows| {
+            Err(CoreError::ModeLargerThanLayout { mode_cols, layout_cols, mode_rows, layout_rows })
+        };
+        let cases: Vec<(&TimelineStore, Patched, FaultMode, Result<(), CoreError>)> = vec![
+            // Bytes 4..8 do not exist, and the groups over them would be
+            // all-empty: the skip must not hide them.
+            (
+                &empty,
+                Patched { inner: LinearLayout::new(4, 16, 8), patches: vec![] },
+                FaultMode::mx1(3),
+                Err(CoreError::ByteOutOfRange { byte: 4, len: 4 }),
+            ),
+            (
+                &busy,
+                Patched { inner: LinearLayout::new(4, 16, 8), patches: vec![] },
+                FaultMode::rect(2, 9),
+                Err(CoreError::ByteOutOfRange { byte: 4, len: 4 }),
+            ),
+            // The byte check comes before the bit check.
+            (
+                &busy,
+                Patched { inner: LinearLayout::new(2, 16, 8), patches: vec![((1, 5), bad(9, 9))] },
+                FaultMode::mx1(4),
+                Err(CoreError::ByteOutOfRange { byte: 9, len: 4 }),
+            ),
+            (
+                &empty,
+                Patched { inner: LinearLayout::new(2, 16, 8), patches: vec![((1, 5), bad(1, 9))] },
+                FaultMode::mx1(1),
+                Err(CoreError::BitOutOfRange { bit: 9 }),
+            ),
+            // Groups are met in row-major anchor order and bits in offset
+            // order: a 2x2 group anchored on row 0 reaches row 1 first.
+            (
+                &busy,
+                Patched {
+                    inner: LinearLayout::new(2, 16, 8),
+                    patches: vec![((1, 0), bad(50, 0)), ((0, 12), bad(0, 9))],
+                },
+                FaultMode::rect(2, 2),
+                Err(CoreError::ByteOutOfRange { byte: 50, len: 4 }),
+            ),
+            (
+                &busy,
+                Patched {
+                    inner: LinearLayout::new(2, 16, 8),
+                    patches: vec![((1, 0), bad(50, 0)), ((0, 12), bad(0, 9))],
+                },
+                FaultMode::mx1(2),
+                Err(CoreError::BitOutOfRange { bit: 9 }),
+            ),
+            // A bit no group covers never fails the call.
+            (
+                &busy,
+                Patched { inner: LinearLayout::new(2, 2, 2), patches: vec![((0, 1), bad(99, 9))] },
+                holes.clone(),
+                Ok(()),
+            ),
+            (
+                &empty,
+                Patched { inner: LinearLayout::new(2, 2, 2), patches: vec![((1, 0), bad(99, 0))] },
+                holes,
+                Ok(()),
+            ),
+            // No placement fits: reported before any bit is looked at.
+            (
+                &busy,
+                Patched { inner: LinearLayout::new(1, 8, 8), patches: vec![((0, 0), bad(99, 9))] },
+                FaultMode::mx1(9),
+                larger(9, 8, 1, 1),
+            ),
+            (
+                &busy,
+                Patched { inner: LinearLayout::new(2, 16, 8), patches: vec![] },
+                FaultMode::rect(3, 2),
+                larger(2, 16, 3, 2),
+            ),
+            (
+                &busy,
+                Patched { inner: LinearLayout::new(2, 16, 8), patches: vec![] },
+                FaultMode::rect(2, 17),
+                larger(17, 16, 2, 2),
+            ),
+        ];
+        for (i, (store, layout, mode, want)) in cases.iter().enumerate() {
+            for scheme in [ProtectionKind::None, ProtectionKind::SecDed] {
+                let cfg = AnalysisConfig::new(scheme);
+                let got = mb_avf(store, layout, mode, &cfg);
+                assert_eq!(got, oracle_mb_avf(store, layout, mode, &cfg), "case {i}");
+                assert_eq!(got.as_ref().map(|_| ()), want.as_ref().map(|_| ()), "case {i}");
+                if let Err(e) = want {
+                    assert_eq!(got.as_ref().unwrap_err(), e, "case {i}");
+                }
+                let windows = windowed_mb_avf(store, layout, mode, &cfg, 30);
+                assert_eq!(windows, oracle_windowed(store, layout, mode, &cfg, 30), "case {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn memo_keys_differ_in_every_packed_field() {
+        let key = |content, bit, region| {
+            let mut k = MemoKey::default();
+            k.push(content, bit, region);
+            k
+        };
+        let hash = |k: &MemoKey| {
+            let mut h = FxHasher::default();
+            k.hash(&mut h);
+            h.finish()
+        };
+        let base = key(1, 7, 0);
+        assert!(base == key(1, 7, 0));
+        assert_eq!(hash(&base), hash(&key(1, 7, 0)));
+        for other in [key(2, 7, 0), key(1, 6, 0), key(1, 7, 1), key(u32::MAX, 7, 0)] {
+            assert!(base != other);
+        }
+    }
+
+    #[test]
+    fn empty_timelines_share_content_id_zero() {
+        let mut store = TimelineStore::new(4, 10);
+        store.byte_mut(1).push(Interval::ace(0, 5, 1)).unwrap();
+        store.byte_mut(3).push(Interval::ace(0, 5, 1)).unwrap();
+        assert_eq!(content_ids(&store), vec![0, 1, 0, 1]);
+    }
 
     /// One byte, one row of 8 bits, `bits_per_domain` per parity/ECC word.
     fn store_1byte(total: Cycle) -> TimelineStore {
