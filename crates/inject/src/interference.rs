@@ -10,7 +10,7 @@
 //! multi-bit outcome contradicts the union of the single-bit outcomes.
 
 use crate::campaign::{golden_shape, run_one, CampaignConfig, FaultSite};
-use crate::runner::{run_campaign, RunnerConfig};
+use crate::runner::{run_campaign_with, RunnerConfig};
 use mbavf_core::error::InjectError;
 use mbavf_workloads::Workload;
 
@@ -71,11 +71,11 @@ pub fn try_interference_study(
     cfg: &CampaignConfig,
     max_groups_per_mode: usize,
 ) -> Result<InterferenceRow, InjectError> {
-    let report = run_campaign(workload, cfg, &RunnerConfig::serial())?;
-    let sdc_sites = report.summary.sdc_sites();
-
+    // One golden shape serves the campaign and every group re-execution.
     let golden = golden_shape(workload, cfg)?;
     let max_steps = golden.max_steps;
+    let report = run_campaign_with(workload, cfg, &RunnerConfig::serial(), &golden)?;
+    let sdc_sites = report.summary.sdc_sites();
 
     let mut groups_tested = [0usize; 3];
     let mut interference = [0usize; 3];

@@ -53,7 +53,9 @@ pub fn load_bundle(path: &Path) -> Result<ReproBundle, BundleError> {
 
 /// Resolve a bundle against this build: find the workload, verify the
 /// fingerprint and golden digest, and bounds-check the fault site.
-fn prepare(b: &ReproBundle) -> Result<(Workload, CampaignConfig, GoldenShape), InjectError> {
+pub(crate) fn prepare(
+    b: &ReproBundle,
+) -> Result<(Workload, CampaignConfig, GoldenShape), InjectError> {
     let w = by_name(&b.workload)
         .ok_or_else(|| BundleError::UnknownWorkload { name: b.workload.clone() })?;
     let cfg = b.campaign_config();
@@ -109,11 +111,22 @@ pub fn replay_site(
     site: FaultSite,
     mode_bits: u8,
 ) -> Result<ReplayReport, InjectError> {
-    let (w, cfg, golden) = prepare(b)?;
+    Ok(replay_prepared(&prepare(b)?, b, site, mode_bits))
+}
+
+/// [`replay_site`] against a bundle [`prepare`] already resolved, so a
+/// caller replaying many variants of one bundle (the shrinker) passes the
+/// gates and pays for the golden run once.
+pub(crate) fn replay_prepared(
+    (w, cfg, golden): &(Workload, CampaignConfig, GoldenShape),
+    b: &ReproBundle,
+    site: FaultSite,
+    mode_bits: u8,
+) -> ReplayReport {
     let (observed, read) =
-        run_one(&w, &cfg, &golden.output, golden.max_steps, site, mode_bits.clamp(1, 32));
+        run_one(w, cfg, &golden.output, golden.max_steps, site, mode_bits.clamp(1, 32));
     let reproduced = observed.kind() == b.outcome.kind();
-    Ok(ReplayReport { observed, read_before_overwrite: read, reproduced })
+    ReplayReport { observed, read_before_overwrite: read, reproduced }
 }
 
 /// The first architectural-state difference between the golden and the

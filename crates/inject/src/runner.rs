@@ -28,15 +28,28 @@
 //! as `snapshot_failures`), and only a failing *final* save is a hard,
 //! typed error — silently losing a finished campaign is the one thing this
 //! layer must never do.
+//!
+//! ## One session, two executors
+//!
+//! A campaign's lifecycle lives in one `Session`: it opens once (runner
+//! validation, sampler, fingerprint, durable recovery, the work list minus
+//! any poison-sidecar exclusions, the trial-budget cut), every record goes
+//! through its one commit path (merge, journal, counters, snapshot cadence,
+//! preemption drill), and it finishes once (final save, poison sidecar,
+//! bundles, report). Thread workers here and the supervisor's lease fleet
+//! ([`crate::supervisor`]) are two executors over it. A supervised campaign
+//! that degrades to threads keeps its session — the same durable state,
+//! poison exclusions and golden run — so nothing is recovered or re-run
+//! twice, and a trial an earlier run quarantined stays excluded.
 
 use crate::campaign::{
-    campaign_sampler, golden_shape, CampaignConfig, CampaignSummary, GoldenShape, OutcomeKind,
-    SingleBitRecord, TrialExecutor,
+    campaign_sampler, golden_shape, CampaignConfig, CampaignSummary, GoldenShape, Outcome,
+    OutcomeKind, SingleBitRecord, SiteSampler, TrialExecutor,
 };
 use crate::checkpoint::{self, wal};
 use crate::supervisor::merge::{merge_slot, MergeVerdict};
-use crate::supervisor::PoisonEntry;
-use mbavf_core::error::{CheckpointError, InjectError};
+use crate::supervisor::{load_or_quarantine_poison, save_poison, PoisonEntry};
+use mbavf_core::error::{CheckpointError, InjectError, SupervisorError};
 use mbavf_workloads::Workload;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -193,53 +206,64 @@ pub struct CampaignReport {
     pub trial_latency: Option<LatencyStats>,
 }
 
-/// What [`Shared::commit_remote`] did with an offered record — the merge
-/// verdict plus, for fresh commits, the new completion count that drives
-/// the checkpoint cadence.
-pub(crate) enum RemoteCommit {
-    /// First sighting: stored and counted. Carries the new completion count.
-    Fresh(usize),
-    /// Byte-equal replay of an already-committed record: dropped.
-    Duplicate,
-    /// Same trial, conflicting contents: a protocol violation.
-    Conflict {
-        /// Human-readable description of the disagreement.
-        detail: String,
-    },
-    /// Outside the budget, or not covered by the sender's lease.
-    Foreign,
-}
+/// Durable-write failures tolerated before periodic checkpointing is
+/// disabled for the rest of the run. Each failure has already survived
+/// bounded retry inside [`crate::durable`], so three strikes means the disk
+/// is persistently refusing writes (full, read-only, gone) — keep the
+/// science running, report honestly, stop hammering the filesystem.
+const MAX_SNAPSHOT_FAILURES: usize = 3;
 
-/// Shared worker state for one campaign execution. Also reused by the
-/// process-isolation supervisor ([`crate::supervisor`]), whose record
-/// stream arrives from worker subprocesses instead of in-process threads.
-pub(crate) struct Shared {
+/// One campaign's lifecycle, shared by every executor: [`Session::open`]
+/// recovers the durable state and fixes the work list, an executor runs
+/// the pending trials and hands each record to [`Session::commit`], and
+/// [`Session::finish`] writes the final checkpoint and builds the report.
+/// Thread workers ([`Session::run_threads`]) and the supervisor's lease
+/// fleet ([`crate::supervisor`]) are the two executors. A degraded
+/// supervised run hands its open session to the next executor, so the
+/// golden run, the recovery and the poison exclusions happen once.
+pub(crate) struct Session<'a> {
+    pub(crate) workload: &'a Workload,
+    pub(crate) cfg: &'a CampaignConfig,
+    pub(crate) runner: &'a RunnerConfig,
+    pub(crate) golden: &'a GoldenShape,
+    /// The fault-site sampler; `None` for a zero-budget campaign.
+    pub(crate) sampler: Option<SiteSampler>,
+    pub(crate) fingerprint: u64,
+    /// Trials restored from the checkpoint and its journal.
+    resumed: usize,
+    /// The work list: every trial neither restored nor poisoned, oldest
+    /// first, cut to the graceful-stop trial budget.
+    pub(crate) pending: Vec<u64>,
+    /// Length of the work list before the trial-budget cut.
+    missing: usize,
+    /// Poison sidecar the quarantined trials are persisted to.
+    poison_path: Option<PathBuf>,
+    /// Trials poisoned by earlier runs, excluded from the work list.
+    pub(crate) prior_poison: Vec<PoisonEntry>,
     /// One slot per trial in the budget; `Some` once completed.
-    pub(crate) slots: Mutex<Vec<Option<SingleBitRecord>>>,
-    /// Next index into the pending-trials list.
-    next: AtomicUsize,
+    slots: Mutex<Vec<Option<SingleBitRecord>>>,
     /// Completions since the run started (drives checkpoint cadence).
     pub(crate) completed: AtomicUsize,
     /// Completions per outcome class (heartbeat reporting).
-    pub(crate) kind_counts: [AtomicUsize; 4],
+    kind_counts: [AtomicUsize; 4],
     /// Workers currently executing trials (heartbeat reporting and monitor
     /// shutdown).
-    pub(crate) active_workers: AtomicUsize,
+    active_workers: AtomicUsize,
     /// Per-trial wall-clock, microseconds, for trials run by this call.
     /// Pre-reserved to the pending count so the hot path never allocates.
-    pub(crate) latencies_us: Mutex<Vec<u64>>,
+    latencies_us: Mutex<Vec<u64>>,
     /// Write-ahead trial journal. `None` when no checkpoint is configured
     /// or after an append failure degraded the run to snapshot-only mode.
-    pub(crate) journal: Mutex<Option<wal::WalWriter>>,
+    journal: Mutex<Option<wal::WalWriter>>,
     /// Durable-write failures observed so far: failed journal appends and
     /// resets, failed snapshot compactions. Surfaced in the summary and the
     /// heartbeat so degraded durability is never silent.
-    pub(crate) snapshot_failures: AtomicUsize,
+    snapshot_failures: AtomicUsize,
     /// Set once [`MAX_SNAPSHOT_FAILURES`] durable-write failures accumulate:
     /// the campaign keeps running, but stops attempting periodic snapshots
     /// (only the final save is still tried — and is a hard error if it
     /// fails).
-    pub(crate) checkpointing_disabled: AtomicBool,
+    checkpointing_disabled: AtomicBool,
     /// Serializes snapshot writes: concurrent workers crossing the
     /// checkpoint cadence at once would otherwise race on the shared
     /// temp-file-then-rename, and the loser's rename finds the temp file
@@ -247,129 +271,114 @@ pub(crate) struct Shared {
     snapshotting: Mutex<()>,
 }
 
-/// Durable-write failures tolerated before periodic checkpointing is
-/// disabled for the rest of the run. Each failure has already survived
-/// bounded retry inside [`crate::durable`], so three strikes means the disk
-/// is persistently refusing writes (full, read-only, gone) — keep the
-/// science running, report honestly, stop hammering the filesystem.
-pub(crate) const MAX_SNAPSHOT_FAILURES: usize = 3;
-
-impl Shared {
-    pub(crate) fn new(slots: Vec<Option<SingleBitRecord>>, pending: usize) -> Self {
-        Shared {
+impl<'a> Session<'a> {
+    /// Open a campaign: validate the runner settings, build the sampler,
+    /// recover the checkpoint and its journal ([`restore_durable`]), load
+    /// the poison sidecar at `poison_path` (trials it names are excluded
+    /// from the work list), and cut the work list to the trial budget.
+    pub(crate) fn open(
+        workload: &'a Workload,
+        cfg: &'a CampaignConfig,
+        runner: &'a RunnerConfig,
+        golden: &'a GoldenShape,
+        poison_path: Option<PathBuf>,
+    ) -> Result<Self, InjectError> {
+        runner.validate()?;
+        let sampler = campaign_sampler(workload, cfg, golden)?;
+        let fingerprint = checkpoint::config_fingerprint(workload.name, cfg);
+        let durable =
+            restore_durable(runner, workload.name, fingerprint, cfg.mode_bits, cfg.injections)?;
+        let prior_poison = match &poison_path {
+            Some(path) => load_or_quarantine_poison(path, fingerprint)?,
+            None => Vec::new(),
+        };
+        let slots = durable.slots;
+        let mut pending: Vec<u64> = (0..cfg.injections as u64)
+            .filter(|&t| slots[t as usize].is_none() && !prior_poison.iter().any(|e| e.trial == t))
+            .collect();
+        let missing = pending.len();
+        if let Some(cap) = runner.cancel.trial_budget() {
+            pending.truncate(cap);
+        }
+        let failures = durable.snapshot_failures;
+        Ok(Session {
+            workload,
+            cfg,
+            runner,
+            golden,
+            sampler,
+            fingerprint,
+            resumed: durable.resumed,
+            latencies_us: Mutex::new(Vec::with_capacity(pending.len())),
+            pending,
+            missing,
+            poison_path,
+            prior_poison,
             slots: Mutex::new(slots),
-            next: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             kind_counts: Default::default(),
             active_workers: AtomicUsize::new(0),
-            latencies_us: Mutex::new(Vec::with_capacity(pending)),
-            journal: Mutex::new(None),
-            snapshot_failures: AtomicUsize::new(0),
-            checkpointing_disabled: AtomicBool::new(false),
+            journal: Mutex::new(durable.journal),
+            snapshot_failures: AtomicUsize::new(failures),
+            checkpointing_disabled: AtomicBool::new(failures >= MAX_SNAPSHOT_FAILURES),
             snapshotting: Mutex::new(()),
-        }
+        })
     }
 
-    /// Install the durable state recovered by [`restore_durable`]: the live
-    /// journal writer (if any) and failures already counted during
+    /// Commit one record — the one commit path of every executor: merge it
+    /// into its trial's slot, append it to the write-ahead journal, count
+    /// it, snapshot on the checkpoint cadence, and fire the preemption
+    /// drill. `leased` is whether the sender holds a lease covering the
+    /// trial (thread workers always do); without one, only a byte-equal
+    /// replay of a committed record is tolerated. Only a
+    /// [`MergeVerdict::Fresh`] record is journaled and counted, so a replay
+    /// can never inflate the campaign.
+    ///
+    /// The merge and the journal append happen together under the journal
+    /// lock (lock order: journal → slots). [`Session::snapshot`] holds the
+    /// same lock while it collects slots and resets the journal, so it can
+    /// never observe a record's frame without its slot: splitting the pair
+    /// reopens the race where a snapshot saves slots missing the record and
+    /// then resets the journal over its only durable copy. Journaling only
+    /// what the merge accepted keeps foreign records out of every future
     /// recovery.
-    pub(crate) fn adopt_durable(&self, journal: Option<wal::WalWriter>, failures: usize) {
-        *self.journal.lock().expect("journal lock") = journal;
-        self.snapshot_failures.store(failures, Ordering::SeqCst);
-        if failures >= MAX_SNAPSHOT_FAILURES {
-            self.checkpointing_disabled.store(true, Ordering::SeqCst);
-        }
-    }
-
-    /// Append one committed trial through an already-held journal guard —
-    /// the O(1) durability step. A failed append (already retried with
-    /// backoff inside the writer) degrades the run to snapshot-only mode
-    /// rather than killing it; the failure is counted and reported.
-    fn append_locked(&self, journal: &mut Option<wal::WalWriter>, record: &SingleBitRecord) {
-        if let Some(writer) = journal.as_mut() {
-            if let Err(e) = writer.append(record) {
-                self.snapshot_failures.fetch_add(1, Ordering::SeqCst);
-                eprintln!(
-                    "warning: trial journal append failed ({e}); journaling disabled, \
-                     falling back to periodic snapshots only"
-                );
-                *journal = None;
-            }
-        }
-    }
-
-    /// Durably commit one locally-run trial: the journal frame first, then
-    /// the in-memory slot, *both under the journal lock*. Holding the lock
-    /// across the pair is what makes [`Shared::snapshot`] safe — it also
-    /// holds the journal lock while it collects slots and resets the
-    /// journal, so it can never observe a record's frame without its slot.
-    /// Splitting the two (append, release, insert) reopens the race where a
-    /// concurrent snapshot collects slots missing the record, saves, and
-    /// then resets the journal over the only durable copy of it.
-    pub(crate) fn commit_journaled(&self, record: SingleBitRecord, elapsed_us: u64) -> usize {
-        let mut journal = self.journal.lock().expect("journal lock");
-        self.append_locked(&mut journal, &record);
-        self.commit(record, elapsed_us)
-    }
-
-    /// Record one completed trial into its slot and the heartbeat counters,
-    /// returning the new completion count (drives checkpoint cadence).
-    pub(crate) fn commit(&self, record: SingleBitRecord, elapsed_us: u64) -> usize {
-        let kind = record.outcome.kind();
-        let trial = record.trial as usize;
-        {
-            let mut slots = self.slots.lock().expect("slots lock");
-            slots[trial] = Some(record);
-        }
-        self.kind_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
-        {
-            let mut lat = self.latencies_us.lock().expect("latency lock");
-            lat.push(elapsed_us);
-        }
-        self.completed.fetch_add(1, Ordering::SeqCst) + 1
-    }
-
-    /// Commit one record arriving from a remote (or replayed) stream
-    /// through the idempotent merge. `leased` is whether the sending worker
-    /// currently holds a lease covering the trial — without it, only
-    /// byte-equal replays of already-committed records are tolerated. Only
-    /// a [`RemoteCommit::Fresh`] verdict updates the completion counters;
-    /// duplicates are dropped without recounting, so a reconnect that
-    /// replays frames can never inflate the campaign.
-    pub(crate) fn commit_remote(
+    pub(crate) fn commit(
         &self,
         record: SingleBitRecord,
         elapsed_us: u64,
         leased: bool,
-    ) -> RemoteCommit {
-        let kind = record.outcome.kind();
-        let journal_copy = record.clone();
-        // Journal lock before the merge (lock order: journal → slots), held
-        // until the accepted record's frame is appended — so a concurrent
-        // snapshot, which collects slots and resets the journal under the
-        // same lock, sees the slot and the frame move together.
-        let mut journal = self.journal.lock().expect("journal lock");
-        let verdict = {
+    ) -> MergeVerdict {
+        let (kind, trial) = (record.outcome.kind(), record.trial as usize);
+        {
+            let mut journal = self.journal.lock().expect("journal lock");
             let mut slots = self.slots.lock().expect("slots lock");
-            merge_slot(&mut slots, record, leased)
-        };
-        match verdict {
-            MergeVerdict::Fresh => {
-                // Journal only what the merge accepted: writing Foreign or
-                // out-of-budget records ahead of the merge would poison the
-                // journal for every future recovery.
-                self.append_locked(&mut journal, &journal_copy);
-                self.kind_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
-                {
-                    let mut lat = self.latencies_us.lock().expect("latency lock");
-                    lat.push(elapsed_us);
-                }
-                RemoteCommit::Fresh(self.completed.fetch_add(1, Ordering::SeqCst) + 1)
+            let verdict = merge_slot(&mut slots, record, leased);
+            if verdict != MergeVerdict::Fresh {
+                return verdict;
             }
-            MergeVerdict::Duplicate => RemoteCommit::Duplicate,
-            MergeVerdict::Conflict { detail } => RemoteCommit::Conflict { detail },
-            MergeVerdict::Foreign { .. } => RemoteCommit::Foreign,
+            if let (Some(writer), Some(record)) = (journal.as_mut(), &slots[trial]) {
+                // A failed append (already retried with backoff inside the
+                // writer) degrades the run to snapshot-only mode.
+                if let Err(e) = writer.append(record) {
+                    self.snapshot_failures.fetch_add(1, Ordering::SeqCst);
+                    eprintln!(
+                        "warning: trial journal append failed ({e}); journaling disabled, \
+                         falling back to periodic snapshots only"
+                    );
+                    *journal = None;
+                }
+            }
         }
+        self.kind_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
+        self.latencies_us.lock().expect("latency lock").push(elapsed_us);
+        let done = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
+        if let Some(path) = &self.runner.checkpoint {
+            if done.is_multiple_of(self.runner.checkpoint_every) {
+                self.snapshot(path);
+            }
+        }
+        crate::signals::preempt_drill(done);
+        MergeVerdict::Fresh
     }
 
     /// Compact the current slots into the checkpoint snapshot and, on
@@ -380,23 +389,19 @@ impl Shared {
     ///
     /// Lock order: `snapshotting` → `journal` → `slots` (never any
     /// reverse). The journal lock is held for the whole collect→save→reset
-    /// window: commits also pair their journal append with the slot insert
+    /// window: commits also pair their merge with the journal append
     /// under it, so every frame the reset discards is guaranteed to be in
     /// the record set this snapshot just made durable. Collecting the slots
     /// outside that window would let a commit land between collection and
     /// reset — its frame truncated, its record absent from the snapshot —
     /// and would also let two racing snapshotters overwrite a newer
     /// checkpoint with a stale record set before resetting the journal.
-    pub(crate) fn snapshot(
-        &self,
-        workload: &str,
-        fingerprint: u64,
-        mode_bits: u8,
-        path: &std::path::Path,
-    ) {
+    fn snapshot(&self, path: &std::path::Path) {
         if self.checkpointing_disabled.load(Ordering::SeqCst) {
             return;
         }
+        let (workload, fingerprint, mode_bits) =
+            (self.workload.name, self.fingerprint, self.cfg.mode_bits);
         let _write_guard = self.snapshotting.lock().expect("snapshot lock");
         let mut journal = self.journal.lock().expect("journal lock");
         let records: Vec<SingleBitRecord> = {
@@ -438,23 +443,102 @@ impl Shared {
         }
     }
 
+    /// Run `work(id)` for `workers` executor workers on scoped threads until
+    /// all return, beside a heartbeat monitor when one is configured and
+    /// trials are pending. `label` names the execution mode, `live` reports
+    /// the worker count a beat shows, and `extra` appends mode-specific
+    /// detail (e.g. poison counts).
+    pub(crate) fn execute(
+        &self,
+        label: &str,
+        workers: usize,
+        live: &(dyn Fn() -> usize + Sync),
+        extra: &(dyn Fn() -> String + Sync),
+        work: &(dyn Fn(usize) + Sync),
+    ) {
+        // Registered before any worker spawns, so the monitor cannot see
+        // zero workers during start-up and exit early.
+        self.active_workers.store(workers, Ordering::SeqCst);
+        std::thread::scope(|scope| {
+            if let Some(interval) = self.runner.heartbeat {
+                if !self.pending.is_empty() {
+                    scope.spawn(move || self.monitor(interval, label, live, extra));
+                }
+            }
+            for id in 0..workers {
+                scope.spawn(move || {
+                    let _retire = WorkerGuard(self);
+                    work(id)
+                });
+            }
+        });
+    }
+
+    /// The thread executor: worker threads claim [`SITE_CHUNK`]-trial chunks
+    /// of the work list and commit each record as its group finishes.
+    pub(crate) fn run_threads(&self) {
+        let threads = self.runner.resolved_threads(self.pending.len());
+        let next = AtomicUsize::new(0);
+        let live = || self.active_workers.load(Ordering::SeqCst);
+        self.execute("thread", threads, &live, &String::new, &|_| self.thread_worker(&next));
+    }
+
+    fn thread_worker(&self, next: &AtomicUsize) {
+        let (runner, pending) = (self.runner, &self.pending);
+        // Per-thread reusable executor (sequential arena or lockstep batch),
+        // built lazily on the first claimed chunk: one instance build per
+        // worker per campaign, zero steady-state allocation per trial.
+        let mut exec: Option<TrialExecutor> = None;
+        let commit = |record, elapsed_us| {
+            self.commit(record, elapsed_us, true);
+            Ok::<(), std::convert::Infallible>(())
+        };
+        loop {
+            // Graceful preemption: stop claiming work once the token trips.
+            // Unclaimed and unstarted trials simply stay pending; every
+            // committed trial is already durable.
+            if runner.cancel.cancelled().is_some() {
+                return;
+            }
+            let start = next.fetch_add(SITE_CHUNK, Ordering::SeqCst);
+            let end = pending.len().min(start.saturating_add(SITE_CHUNK));
+            if start >= end {
+                return;
+            }
+            let exec = exec.get_or_insert_with(|| {
+                let sampler = self.sampler.as_ref().expect("pending trials imply a sampler");
+                TrialExecutor::new(
+                    self.workload,
+                    self.cfg,
+                    self.golden,
+                    sampler,
+                    runner.batch_width,
+                )
+            });
+            // A group (one trial, or one lockstep batch) is the trial
+            // boundary: a group in flight finishes and commits whole, in
+            // trial order, before the token is honored.
+            for group in pending[start..end].chunks(exec.width()) {
+                if runner.cancel.cancelled().is_some() {
+                    return;
+                }
+                let Ok(()) = exec.run_group(group, &commit);
+            }
+        }
+    }
+
     /// Heartbeat monitor loop: print a progress line to stderr every
     /// `interval` until all workers have retired (`active_workers` reaches
-    /// zero — the caller pre-registers the worker count *before* spawning,
-    /// so the monitor cannot exit during worker startup). `done_offset`
-    /// counts trials restored from a checkpoint before this call started;
-    /// `label` names the execution mode; `live` reports the current worker
-    /// count (threads or subprocesses); `extra` appends mode-specific
-    /// detail (e.g. poison counts).
-    pub(crate) fn monitor(
+    /// zero). Trials restored from the checkpoint count as done from the
+    /// start.
+    fn monitor(
         &self,
         interval: Duration,
-        done_offset: usize,
-        total: usize,
         label: &str,
         live: &dyn Fn() -> usize,
         extra: &dyn Fn() -> String,
     ) {
+        let total = self.cfg.injections;
         let start = Instant::now();
         let mut last_beat = Instant::now();
         loop {
@@ -467,7 +551,7 @@ impl Shared {
             }
             last_beat = Instant::now();
             let new = self.completed.load(Ordering::SeqCst);
-            let done = done_offset + new;
+            let done = self.resumed + new;
             let secs = start.elapsed().as_secs_f64();
             // Before any completion (or on a degenerate clock) there is no
             // rate to report: print `--` rather than 0.0/inf/NaN noise.
@@ -492,6 +576,10 @@ impl Shared {
                     )
                 })
                 .collect();
+            let draining = match self.runner.cancel.cancelled() {
+                Some(reason) => format!(", draining ({reason})"),
+                None => String::new(),
+            };
             // Degraded durability is reported on every beat, not buried in
             // a one-time warning that scrolled away hours ago.
             let failures = self.snapshot_failures.load(Ordering::SeqCst);
@@ -503,29 +591,117 @@ impl Shared {
                 String::new()
             };
             eprintln!(
-                "heartbeat[{label}]: {done}/{total} trials, {rate} trials/s, eta {eta}, workers {}, {}{}{durability}",
+                "heartbeat[{label}]: {done}/{total} trials, {rate} trials/s, eta {eta}, workers {}, {}{draining}{}{durability}",
                 live(),
                 kinds.join(" "),
                 extra()
             );
         }
     }
-}
 
-/// An RAII guard retiring one pre-registered worker slot on drop. The
-/// spawning side calls [`Shared::new`]-then-`active_workers.store(n)` before
-/// launching workers, and each worker (thread or supervisor-side shard
-/// handler) holds one guard — so [`Shared::monitor`] observes a non-zero
-/// count from before the first worker starts until after the last exits.
-pub(crate) struct WorkerGuard<'a>(&'a Shared);
+    /// Close the campaign. The final checkpoint and the poison sidecar
+    /// (earlier runs' poison plus `new_poison`, this run's) are written
+    /// even when an executor hit a `fatal` error, so the evidence survives
+    /// for the resume that follows the fix; then the error is returned.
+    /// Otherwise repro bundles are emitted and the report is built.
+    pub(crate) fn finish(
+        self,
+        mut new_poison: Vec<PoisonEntry>,
+        fatal: Option<SupervisorError>,
+    ) -> Result<CampaignReport, InjectError> {
+        let (workload, cfg, runner, fingerprint) =
+            (self.workload, self.cfg, self.runner, self.fingerprint);
+        let snapshot_failures = self.snapshot_failures.into_inner() as u64;
+        let slots = self.slots.into_inner().expect("slots lock");
+        let records: Vec<SingleBitRecord> = slots.into_iter().flatten().collect();
+        if let Some(path) = &runner.checkpoint {
+            final_save(
+                path,
+                workload.name,
+                fingerprint,
+                cfg.mode_bits,
+                &records,
+                snapshot_failures,
+            )?;
+        }
+        let newly_poisoned = new_poison.len();
+        let mut poisoned = self.prior_poison;
+        poisoned.append(&mut new_poison);
+        poisoned.sort_by_key(|e| e.trial);
+        if let Some(path) = self.poison_path.filter(|_| !poisoned.is_empty()) {
+            save_poison(&path, workload.name, fingerprint, &poisoned)?;
+        }
+        if let Some(e) = fatal {
+            return Err(e.into());
+        }
 
-impl<'a> WorkerGuard<'a> {
-    pub(crate) fn retire_on_drop(shared: &'a Shared) -> Self {
-        WorkerGuard(shared)
+        // Emit repro bundles for every visible error, in trial order. Records
+        // are thread-count- and resume-invariant and an interrupted run's
+        // records are a prefix of the full trial sequence, so the bundle set
+        // a completed campaign ends up with is a pure function of its config.
+        let mut bundles = Vec::new();
+        if let Some(dir) = &runner.repro_dir {
+            let writer = crate::bundle::BundleWriter {
+                dir,
+                workload: workload.name,
+                cfg,
+                fingerprint,
+                golden_digest: mbavf_core::rng::fnv1a(&self.golden.output),
+                cap: runner.repro_cap,
+            };
+            bundles = writer.write(&records, &|r| r.outcome.is_error())?;
+            // Poisoned trials get repro bundles too: the whole point of the
+            // quarantine is that someone replays them later, in isolation.
+            let poison_records: Vec<SingleBitRecord> = poisoned
+                .iter()
+                .map(|e| SingleBitRecord {
+                    trial: e.trial,
+                    site: e.site,
+                    outcome: Outcome::Crash { reason: format!("poison: {}", e.reason) },
+                    read_before_overwrite: false,
+                })
+                .collect();
+            bundles.extend(writer.write(&poison_records, &|_| true)?);
+        }
+
+        let newly_run = self.completed.into_inner();
+        let complete = newly_run + newly_poisoned == self.missing;
+        let trial_latency =
+            LatencyStats::from_micros(self.latencies_us.into_inner().expect("latency lock"));
+        Ok(CampaignReport {
+            summary: CampaignSummary {
+                workload: workload.name,
+                records,
+                snapshot_failures,
+                // Audit counters belong to the lease fleet, which fills them
+                // in; thread-run trials have nothing to audit.
+                audited: 0,
+                audit_divergences: 0,
+                merge_conflicts: 0,
+                quarantined_endpoints: Vec::new(),
+            },
+            resumed: self.resumed,
+            newly_run,
+            complete,
+            // An incomplete run with no tripped token can only be the armed
+            // trial budget: the work list was truncated before any worker
+            // spawned, so there is no reason atomic to consult.
+            interrupted: (!complete).then(|| {
+                runner.cancel.cancelled().unwrap_or(crate::cancel::CancelReason::TrialBudget)
+            }),
+            bundles,
+            poisoned,
+            trial_latency,
+        })
     }
 }
 
-impl Drop for WorkerGuard<'_> {
+/// An RAII guard retiring one pre-registered worker slot on drop, so
+/// [`Session::monitor`] observes a non-zero count from before the first
+/// worker starts until after the last exits — even one that panics.
+struct WorkerGuard<'s, 'a>(&'s Session<'a>);
+
+impl Drop for WorkerGuard<'_, '_> {
     fn drop(&mut self) {
         self.0.active_workers.fetch_sub(1, Ordering::SeqCst);
     }
@@ -537,7 +713,7 @@ impl Drop for WorkerGuard<'_> {
 /// from zero, instead of wedging every future resume of the run. Version
 /// and config mismatches still error — those are real incompatibilities,
 /// not damage.
-pub(crate) fn load_or_quarantine(
+fn load_or_quarantine(
     path: &std::path::Path,
 ) -> Result<Option<checkpoint::Checkpoint>, CheckpointError> {
     match checkpoint::load(path) {
@@ -563,58 +739,20 @@ pub(crate) fn load_or_quarantine(
     }
 }
 
-/// Restore completed trials from `runner.checkpoint` (when set and present)
-/// into a fresh slot vector of `budget` entries, validating the config
-/// fingerprint. Returns the slots plus how many trials were restored.
-/// Shared by the thread-mode runner and the process-isolation supervisor so
-/// both resume from the same checkpoint identically.
-pub(crate) fn restore_slots(
-    runner: &RunnerConfig,
-    fingerprint: u64,
-    budget: usize,
-) -> Result<(Vec<Option<SingleBitRecord>>, usize), InjectError> {
-    let mut slots: Vec<Option<SingleBitRecord>> = vec![None; budget];
-    let mut resumed = 0usize;
-    if let Some(path) = &runner.checkpoint {
-        if path.exists() {
-            if let Some(ck) = load_or_quarantine(path)? {
-                if ck.config_hash != fingerprint {
-                    return Err(CheckpointError::ConfigMismatch {
-                        expected: fingerprint,
-                        found: ck.config_hash,
-                    }
-                    .into());
-                }
-                for rec in ck.records {
-                    let trial = rec.trial;
-                    let slot = slots
-                        .get_mut(trial as usize)
-                        .ok_or(CheckpointError::TrialOutOfRange { trial, budget: budget as u64 })?;
-                    if slot.is_none() {
-                        resumed += 1;
-                    }
-                    *slot = Some(rec);
-                }
-            }
-        }
-    }
-    Ok((slots, resumed))
-}
-
 /// Everything [`restore_durable`] recovered: the slot vector with both the
 /// snapshot's and the journal's surviving records merged in, the live
 /// journal writer for the rest of the run (or `None` when degraded), and
 /// how many durable-write failures recovery itself already hit.
-pub(crate) struct DurableState {
-    pub(crate) slots: Vec<Option<SingleBitRecord>>,
-    pub(crate) resumed: usize,
-    pub(crate) journal: Option<wal::WalWriter>,
-    pub(crate) snapshot_failures: usize,
+struct DurableState {
+    slots: Vec<Option<SingleBitRecord>>,
+    resumed: usize,
+    journal: Option<wal::WalWriter>,
+    snapshot_failures: usize,
 }
 
-/// Full durable-state recovery, shared by the thread-mode runner and the
-/// process-isolation supervisor: restore the snapshot ([`restore_slots`]),
-/// replay the write-ahead journal's surviving frames through the idempotent
+/// Full durable-state recovery into a slot vector of `budget` entries:
+/// restore the snapshot (validating its config fingerprint), replay the
+/// write-ahead journal's surviving frames through the idempotent
 /// trial-index merge, compact any journal-only records back into the
 /// snapshot, and open a fresh journal for the run ahead.
 ///
@@ -624,22 +762,39 @@ pub(crate) struct DurableState {
 ///
 /// # Errors
 ///
-/// Checkpoint errors from [`restore_slots`]; [`CheckpointError::TrialOutOfRange`]
-/// for a journaled trial outside the budget; [`CheckpointError::Malformed`]
+/// Checkpoint load errors (corruption is quarantined, not an error);
+/// [`CheckpointError::ConfigMismatch`] for a snapshot of another campaign;
+/// [`CheckpointError::TrialOutOfRange`] for a snapshot or journaled trial
+/// outside the budget; [`CheckpointError::Malformed`]
 /// when a journal frame *conflicts* with the snapshot — same trial, different
 /// record — which a deterministic campaign can only produce from mixed-up
 /// artifacts.
-pub(crate) fn restore_durable(
+fn restore_durable(
     runner: &RunnerConfig,
     workload: &str,
     fingerprint: u64,
     mode_bits: u8,
     budget: usize,
 ) -> Result<DurableState, InjectError> {
-    let (mut slots, mut resumed) = restore_slots(runner, fingerprint, budget)?;
+    let mut slots: Vec<Option<SingleBitRecord>> = vec![None; budget];
+    let mut resumed = 0usize;
     let Some(path) = &runner.checkpoint else {
         return Ok(DurableState { slots, resumed, journal: None, snapshot_failures: 0 });
     };
+    if let Some(ck) = if path.exists() { load_or_quarantine(path)? } else { None } {
+        if ck.config_hash != fingerprint {
+            let found = ck.config_hash;
+            return Err(CheckpointError::ConfigMismatch { expected: fingerprint, found }.into());
+        }
+        for rec in ck.records {
+            let trial = rec.trial;
+            let slot = slots
+                .get_mut(trial as usize)
+                .ok_or(CheckpointError::TrialOutOfRange { trial, budget: budget as u64 })?;
+            resumed += usize::from(slot.is_none());
+            *slot = Some(rec);
+        }
+    }
     let mut failures = 0usize;
 
     let recovery = wal::recover(path, workload, fingerprint)?;
@@ -709,7 +864,7 @@ pub(crate) fn restore_durable(
 /// [`CheckpointError::FinalSaveFailed`], carrying the run's accumulated
 /// failure count, and the campaign exits nonzero rather than pretending
 /// completed trials are safe.
-pub(crate) fn final_save(
+fn final_save(
     path: &std::path::Path,
     workload: &str,
     fingerprint: u64,
@@ -732,9 +887,9 @@ pub(crate) fn final_save(
 /// Run (or resume) a single-bit campaign under the given execution config.
 ///
 /// Trials are crash-isolated: a fault that panics the interpreter is
-/// recorded as [`Outcome::Crash`](crate::campaign::Outcome::Crash) and the
-/// campaign continues. The summary is bit-identical for any `threads`
-/// setting and for any interrupt/resume schedule of the same campaign.
+/// recorded as [`Outcome::Crash`] and the campaign continues. The summary
+/// is bit-identical for any `threads` setting and for any interrupt/resume
+/// schedule of the same campaign.
 ///
 /// # Errors
 ///
@@ -765,154 +920,9 @@ pub(crate) fn run_campaign_with(
     runner: &RunnerConfig,
     golden: &GoldenShape,
 ) -> Result<CampaignReport, InjectError> {
-    runner.validate()?;
-
-    let sampler = campaign_sampler(workload, cfg, golden)?;
-    let fingerprint = checkpoint::config_fingerprint(workload.name, cfg);
-
-    // Restore completed trials from the checkpoint and its write-ahead
-    // journal, if they exist.
-    let durable =
-        restore_durable(runner, workload.name, fingerprint, cfg.mode_bits, cfg.injections)?;
-    let (slots, resumed) = (durable.slots, durable.resumed);
-
-    // The work list: every trial not already restored, oldest first, cut to
-    // the graceful-stop budget.
-    let mut pending: Vec<u64> =
-        (0..cfg.injections as u64).filter(|&t| slots[t as usize].is_none()).collect();
-    let total_missing = pending.len();
-    if let Some(cap) = runner.cancel.trial_budget() {
-        pending.truncate(cap);
-    }
-
-    let threads = runner.resolved_threads(pending.len());
-    let shared = Shared::new(slots, pending.len());
-    shared.adopt_durable(durable.journal, durable.snapshot_failures);
-    shared.active_workers.store(threads, Ordering::SeqCst);
-
-    std::thread::scope(|scope| {
-        if let Some(interval) = runner.heartbeat {
-            if !pending.is_empty() {
-                let shared = &shared;
-                scope.spawn(move || {
-                    shared.monitor(
-                        interval,
-                        resumed,
-                        cfg.injections,
-                        "thread",
-                        &|| shared.active_workers.load(Ordering::SeqCst),
-                        &|| match runner.cancel.cancelled() {
-                            Some(reason) => format!(", draining ({reason})"),
-                            None => String::new(),
-                        },
-                    );
-                });
-            }
-        }
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let _slot = WorkerGuard::retire_on_drop(&shared);
-                // Per-thread reusable executor (sequential arena or lockstep
-                // batch), built lazily on the first claimed chunk: one
-                // instance build per worker per campaign, zero steady-state
-                // allocation per trial.
-                let mut exec: Option<TrialExecutor> = None;
-                let commit = |record: SingleBitRecord, elapsed_us: u64| {
-                    // Write-ahead: the trial reaches the durable journal
-                    // before it reaches the in-memory slots (atomically with
-                    // respect to snapshot resets), so a crash can lose at
-                    // most the single in-flight trial.
-                    let done = shared.commit_journaled(record, elapsed_us);
-                    if let Some(path) = &runner.checkpoint {
-                        if done.is_multiple_of(runner.checkpoint_every) {
-                            shared.snapshot(workload.name, fingerprint, cfg.mode_bits, path);
-                        }
-                    }
-                    crate::signals::preempt_drill(done);
-                    Ok::<(), std::convert::Infallible>(())
-                };
-                loop {
-                    // Graceful preemption: stop claiming work once the token
-                    // trips. Unclaimed and unstarted trials simply stay
-                    // pending; every committed trial is already durable.
-                    if runner.cancel.cancelled().is_some() {
-                        return;
-                    }
-                    let start = shared.next.fetch_add(SITE_CHUNK, Ordering::SeqCst);
-                    let end = pending.len().min(start.saturating_add(SITE_CHUNK));
-                    if start >= end {
-                        return;
-                    }
-                    let exec = exec.get_or_insert_with(|| {
-                        let sampler = sampler.as_ref().expect("pending trials imply a sampler");
-                        TrialExecutor::new(workload, cfg, golden, sampler, runner.batch_width)
-                    });
-                    // A group (one trial, or one lockstep batch) is the trial
-                    // boundary: a group in flight finishes and commits whole,
-                    // in trial order, before the token is honored.
-                    for group in pending[start..end].chunks(exec.width()) {
-                        if runner.cancel.cancelled().is_some() {
-                            return;
-                        }
-                        let Ok(()) = exec.run_group(group, &commit);
-                    }
-                }
-            });
-        }
-    });
-
-    let snapshot_failures = shared.snapshot_failures.load(Ordering::SeqCst) as u64;
-    let slots = shared.slots.into_inner().expect("slots lock");
-    let records: Vec<SingleBitRecord> = slots.into_iter().flatten().collect();
-    if let Some(path) = &runner.checkpoint {
-        final_save(path, workload.name, fingerprint, cfg.mode_bits, &records, snapshot_failures)?;
-    }
-
-    // Emit repro bundles for every visible error, in trial order. Records
-    // are thread-count- and resume-invariant and an interrupted run's
-    // records are a prefix of the full trial sequence, so the bundle set a
-    // completed campaign ends up with is a pure function of its config.
-    let mut bundles = Vec::new();
-    if let Some(dir) = &runner.repro_dir {
-        let writer = crate::bundle::BundleWriter {
-            dir,
-            workload: workload.name,
-            cfg,
-            fingerprint,
-            golden_digest: mbavf_core::rng::fnv1a(&golden.output),
-            cap: runner.repro_cap,
-        };
-        bundles = writer.write(&records, &|r| r.outcome.is_error())?;
-    }
-
-    let newly_run = shared.completed.into_inner();
-    let complete = newly_run == total_missing;
-    let trial_latency =
-        LatencyStats::from_micros(shared.latencies_us.into_inner().expect("latency lock"));
-    Ok(CampaignReport {
-        summary: CampaignSummary {
-            workload: workload.name,
-            records,
-            snapshot_failures,
-            // Thread-mode trials run in this very process; there is nothing
-            // to audit and no endpoint to distrust.
-            audited: 0,
-            audit_divergences: 0,
-            merge_conflicts: 0,
-            quarantined_endpoints: Vec::new(),
-        },
-        resumed,
-        newly_run,
-        complete,
-        // An incomplete run with no tripped token can only be the armed
-        // trial budget: the pending list was truncated before any worker
-        // spawned, so there is no reason atomic to consult.
-        interrupted: (!complete)
-            .then(|| runner.cancel.cancelled().unwrap_or(crate::cancel::CancelReason::TrialBudget)),
-        bundles,
-        poisoned: Vec::new(),
-        trial_latency,
-    })
+    let session = Session::open(workload, cfg, runner, golden, None)?;
+    session.run_threads();
+    session.finish(Vec::new(), None)
 }
 
 /// How an adaptive campaign decides it has run enough trials.
@@ -1020,27 +1030,26 @@ pub fn run_adaptive(
     let golden = golden_shape(workload, cfg)?;
 
     // Resuming: skip straight to the first stage whose budget covers every
-    // already-recorded trial, so a checkpoint from a later stage never
-    // trips the budget bound. Corrupt files are left for run_campaign's
-    // quarantine; skipped stages were already evaluated as "not tight
-    // enough" by the run that recorded past them.
+    // trial already durable — the snapshot and the journal, recovered the
+    // way a session recovers them — so a journal that ran past the last
+    // snapshot never trips the budget bound. Skipped stages were already
+    // evaluated as "not tight enough" by the run that recorded past them.
     let budgets = adaptive.stage_budgets();
-    let mut start_stage = 0usize;
-    if let Some(path) = &runner.checkpoint {
-        if path.exists() {
-            if let Ok(ck) = checkpoint::load(path) {
-                if ck.config_hash == checkpoint::config_fingerprint(workload.name, cfg) {
-                    if let Some(max_trial) = ck.records.iter().map(|r| r.trial).max() {
-                        while start_stage + 1 < budgets.len()
-                            && (budgets[start_stage] as u64) <= max_trial
-                        {
-                            start_stage += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let fingerprint = checkpoint::config_fingerprint(workload.name, cfg);
+    let last_durable = restore_durable(
+        runner,
+        workload.name,
+        fingerprint,
+        cfg.mode_bits,
+        adaptive.max_injections,
+    )?
+    .slots
+    .iter()
+    .rposition(Option::is_some);
+    let start_stage = match last_durable {
+        Some(last) => budgets.iter().position(|&b| b > last).unwrap_or(budgets.len() - 1),
+        None => 0,
+    };
 
     let mut stages = Vec::new();
     for (i, &budget) in budgets.iter().enumerate().skip(start_stage) {
@@ -1103,8 +1112,6 @@ mod tests {
     /// through the real recovery path.
     #[test]
     fn concurrent_commits_and_snapshots_never_lose_a_committed_record() {
-        use crate::campaign::Outcome;
-
         const TRIALS: usize = 240;
         const WORKERS: usize = 4;
         let dir = tmpdir("snapshot-race");
@@ -1112,14 +1119,21 @@ mod tests {
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(wal::wal_path(&path)).ok();
 
-        let shared = Shared::new(vec![None; TRIALS], TRIALS);
-        let journal = wal::WalWriter::create(&path, "dct", 0xFEED, 1).unwrap();
-        shared.adopt_durable(Some(journal), 0);
+        let w = by_name("dct").expect("registered");
+        let cfg = cfg(TRIALS);
+        let golden = golden_shape(&w, &cfg).unwrap();
+        // A tight cadence from every worker maximizes snapshot/commit
+        // interleavings.
+        let runner = RunnerConfig {
+            checkpoint: Some(path.clone()),
+            checkpoint_every: 8,
+            ..RunnerConfig::default()
+        };
+        let session = Session::open(&w, &cfg, &runner, &golden, None).unwrap();
 
         std::thread::scope(|scope| {
             for worker in 0..WORKERS {
-                let shared = &shared;
-                let path = &path;
+                let session = &session;
                 scope.spawn(move || {
                     for trial in (worker..TRIALS).step_by(WORKERS) {
                         let record = SingleBitRecord {
@@ -1134,21 +1148,16 @@ mod tests {
                             outcome: Outcome::Sdc,
                             read_before_overwrite: false,
                         };
-                        let done = shared.commit_journaled(record, 1);
-                        // A tight cadence from every worker maximizes
-                        // snapshot/commit interleavings.
-                        if done.is_multiple_of(8) {
-                            shared.snapshot("dct", 0xFEED, 1, path);
-                        }
+                        session.commit(record, 1, true);
                     }
                 });
             }
         });
-        assert_eq!(shared.snapshot_failures.load(Ordering::SeqCst), 0);
+        assert_eq!(session.snapshot_failures.load(Ordering::SeqCst), 0);
 
         // "Crash" here: resume from disk alone and demand every record back.
-        let runner = RunnerConfig { checkpoint: Some(path.clone()), ..RunnerConfig::default() };
-        let durable = restore_durable(&runner, "dct", 0xFEED, 1, TRIALS).unwrap();
+        let durable =
+            restore_durable(&runner, w.name, session.fingerprint, cfg.mode_bits, TRIALS).unwrap();
         assert_eq!(durable.slots.iter().flatten().count(), TRIALS);
         std::fs::remove_dir_all(&dir).ok();
     }

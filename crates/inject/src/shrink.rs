@@ -17,7 +17,7 @@
 
 use crate::bundle::{self, Minimized, ReproBundle};
 use crate::campaign::FaultSite;
-use crate::replay::replay_site;
+use crate::replay::{prepare, replay_prepared};
 use mbavf_core::error::InjectError;
 use std::path::Path;
 
@@ -65,14 +65,17 @@ fn candidates(site: FaultSite, mode_bits: u8) -> Vec<(u8, u8)> {
 /// golden-digest mismatch, out-of-range site.
 pub fn shrink_bundle(bundle: &ReproBundle) -> Result<ShrinkOutcome, InjectError> {
     // Validate the bundle (and fail typed) even when there is nothing to
-    // shrink, so callers get consistent behavior for width-1 bundles.
-    let baseline = replay_site(bundle, bundle.site, bundle.mode_bits)?;
+    // shrink, so callers get consistent behavior for width-1 bundles. The
+    // gates run once; candidates differ from the bundle's site only in
+    // their bit window, so its site bounds check covers them all.
+    let prepared = prepare(bundle)?;
+    let baseline = replay_prepared(&prepared, bundle, bundle.site, bundle.mode_bits);
     let mut tested = 1u32;
     if baseline.reproduced {
         for (start, width) in candidates(bundle.site, bundle.mode_bits) {
             let site = FaultSite { bit: start, ..bundle.site };
             tested += 1;
-            if replay_site(bundle, site, width)?.reproduced {
+            if replay_prepared(&prepared, bundle, site, width).reproduced {
                 return Ok(ShrinkOutcome {
                     site,
                     mode_bits: width,

@@ -81,21 +81,18 @@
 //! the first message is not a valid handshake, or no TCP endpoint ever
 //! connects — the supervisor warns and falls back one isolation level (TCP →
 //! local processes → threads) instead of failing the campaign: same
-//! checkpoint, bit-identical records. Once work has been committed the
-//! fallback is off the table, and losing every endpoint raises
-//! [`TransportError::AllEndpointsLost`].
+//! checkpoint, bit-identical records. A degraded campaign keeps its
+//! `Session`: the next executor runs the same work list against the same
+//! recovered durable state, poison exclusions and golden run, so trials
+//! quarantined by an earlier run stay excluded even in thread mode. Once
+//! work has been committed the fallback is off the table, and losing every
+//! endpoint raises [`TransportError::AllEndpointsLost`].
 
-use crate::campaign::{
-    campaign_sampler, golden_shape, CampaignConfig, CampaignSummary, FaultSite, Outcome,
-    SingleBitRecord, SiteSampler, TrialExecutor,
-};
-use crate::checkpoint;
+use self::merge::MergeVerdict;
+use crate::campaign::{golden_shape, CampaignConfig, FaultSite, TrialExecutor};
 use crate::durable::{atomic_write_durable, jittered_backoff};
 use crate::json::{self, Value};
-use crate::runner::{
-    final_save, quarantine_corrupt, restore_durable, run_campaign_with, CampaignReport,
-    LatencyStats, RemoteCommit, RunnerConfig, Shared, WorkerGuard,
-};
+use crate::runner::{quarantine_corrupt, CampaignReport, RunnerConfig, Session};
 use mbavf_core::error::{InjectError, SupervisorError, TransportError};
 use mbavf_workloads::Workload;
 use std::collections::VecDeque;
@@ -444,7 +441,7 @@ pub fn load_poison(path: &Path) -> Result<PoisonSidecar, SupervisorError> {
 /// corruption: moved to `<path>.corrupt` with a warning, treated as
 /// absent). A fingerprint mismatch is a hard error — the sidecar belongs to
 /// a different campaign.
-fn load_or_quarantine_poison(
+pub(crate) fn load_or_quarantine_poison(
     path: &Path,
     fingerprint: u64,
 ) -> Result<Vec<PoisonEntry>, SupervisorError> {
@@ -521,21 +518,18 @@ enum ShardEnd {
     EndpointDead { detail: String },
 }
 
-struct SupCtx<'a> {
-    cfg: &'a CampaignConfig,
-    runner: &'a RunnerConfig,
+struct Fleet<'a> {
+    session: &'a Session<'a>,
     sup: &'a SupervisorConfig,
-    workload_name: &'a str,
-    fingerprint: u64,
-    sampler: Option<&'a SiteSampler>,
-    shared: &'a Shared,
+    /// Trials poisoned before this fleet started: by earlier runs, or by an
+    /// earlier fleet of this run that degraded.
     prior_poison: usize,
-    /// Local re-executor for audited records, over the supervisor's own
+    /// Local re-executor for audited records, over the session's own
     /// golden shape and sampler; built when auditing is on and trials are
     /// pending. Serializes audits across handlers.
     auditor: Option<Mutex<TrialExecutor<'a>>>,
     /// Per-endpoint trust state plus the campaign-wide audit counters.
-    ledger: TrustLedger,
+    ledger: &'a TrustLedger,
     queue: LeaseQueue,
     poison: Mutex<Vec<PoisonEntry>>,
     fatal: Mutex<Option<SupervisorError>>,
@@ -545,7 +539,7 @@ struct SupCtx<'a> {
     retired: AtomicUsize,
 }
 
-impl SupCtx<'_> {
+impl Fleet<'_> {
     fn should_stop(&self) -> bool {
         // A tripped cancel token stops new leases exactly like an internal
         // stop: handlers drain what is in flight and retire. It also
@@ -553,7 +547,7 @@ impl SupCtx<'_> {
         // cancellation are deliberate, not stranded.
         self.stop.load(Ordering::SeqCst)
             || self.degrade.load(Ordering::SeqCst)
-            || self.runner.cancel.cancelled().is_some()
+            || self.session.runner.cancel.cancelled().is_some()
     }
 
     fn raise_fatal(&self, e: SupervisorError) {
@@ -564,7 +558,7 @@ impl SupCtx<'_> {
     /// Degrade is only safe while nothing has happened yet: no completed
     /// trial, no new poison. Returns whether degradation was initiated.
     fn try_degrade(&self) -> bool {
-        let untouched = self.shared.completed.load(Ordering::SeqCst) == 0
+        let untouched = self.session.completed.load(Ordering::SeqCst) == 0
             && self.poison.lock().expect("poison lock").is_empty();
         if untouched {
             self.degrade.store(true, Ordering::SeqCst);
@@ -576,7 +570,7 @@ impl SupCtx<'_> {
         jittered_backoff(
             self.sup.backoff_base,
             self.sup.backoff_cap,
-            self.cfg.seed,
+            self.session.cfg.seed,
             handler,
             consecutive_failures,
         )
@@ -584,11 +578,12 @@ impl SupCtx<'_> {
 
     /// Build handler `id`'s channel to its worker.
     fn make_transport(&self, id: usize) -> Transport {
+        let session = self.session;
         let hello = render_hello(
-            self.workload_name,
-            self.cfg,
+            session.workload.name,
+            session.cfg,
             self.sup.lease_timeout,
-            self.runner.batch_width,
+            session.runner.batch_width,
         );
         let connector = match &self.sup.transport {
             TransportKind::Pipe => Connector::Spawn {
@@ -640,7 +635,7 @@ impl SupCtx<'_> {
                     detail: "supervisor shutdown".into(),
                 };
             }
-            if let Some(reason) = self.runner.cancel.cancelled() {
+            if let Some(reason) = self.session.runner.cancel.cancelled() {
                 if transport.is_remote() && handshaken {
                     // Graceful preemption of a live daemon: ask it to finish
                     // the trial in flight and part cleanly, then keep
@@ -718,7 +713,8 @@ impl SupCtx<'_> {
             }
             if !handshaken {
                 let ok = v.get("mbavf_worker").and_then(Value::as_u64) == Some(PROTOCOL_VERSION)
-                    && v.get("fingerprint").and_then(Value::as_u64) == Some(self.fingerprint);
+                    && v.get("fingerprint").and_then(Value::as_u64)
+                        == Some(self.session.fingerprint);
                 if !ok {
                     transport.revoke();
                     let head: String = msg.chars().take(120).collect();
@@ -779,7 +775,7 @@ impl SupCtx<'_> {
             let mut audit = AuditOutcome::Skipped;
             if leased.is_some() {
                 if let (Some(policy), Some(auditor)) = (self.sup.audit, &self.auditor) {
-                    if policy.selects(self.cfg.seed, trial) {
+                    if policy.selects(self.session.cfg.seed, trial) {
                         let mut local = None;
                         let Ok(()) =
                             auditor.lock().expect("auditor lock").run_group(&[trial], |r, t| {
@@ -797,23 +793,12 @@ impl SupCtx<'_> {
                     }
                 }
             }
-            match self.shared.commit_remote(record, us, leased.is_some()) {
-                RemoteCommit::Fresh(done) => {
+            match self.session.commit(record, us, leased.is_some()) {
+                MergeVerdict::Fresh => {
                     let pos = leased.expect("fresh commits are leased");
                     remaining.remove(pos);
                     progress = true;
                     lease.renew();
-                    if let Some(path) = &self.runner.checkpoint {
-                        if done.is_multiple_of(self.runner.checkpoint_every) {
-                            self.shared.snapshot(
-                                self.workload_name,
-                                self.fingerprint,
-                                self.cfg.mode_bits,
-                                path,
-                            );
-                        }
-                    }
-                    crate::signals::preempt_drill(done);
                     match audit {
                         AuditOutcome::Skipped => {}
                         AuditOutcome::Passed => self.ledger.record_pass(),
@@ -834,7 +819,7 @@ impl SupCtx<'_> {
                         }
                     }
                 }
-                RemoteCommit::Duplicate => {
+                MergeVerdict::Duplicate => {
                     // A replay of a record committed by an earlier lease
                     // (reconnect, duplicated frames): dropped by the merge,
                     // never recounted.
@@ -844,7 +829,7 @@ impl SupCtx<'_> {
                     }
                     lease.renew();
                 }
-                RemoteCommit::Conflict { detail } => {
+                MergeVerdict::Conflict { detail } => {
                     // A record contradicting committed state is a trust
                     // failure, charged to the endpoint's retry budget and
                     // trust ledger — not silently formatted into a fatal
@@ -853,7 +838,7 @@ impl SupCtx<'_> {
                     transport.revoke();
                     return ShardRun::Hostile { quarantined, detail };
                 }
-                RemoteCommit::Foreign => {
+                MergeVerdict::Foreign { .. } => {
                     transport.revoke();
                     return ShardRun::Fatal(SupervisorError::Protocol {
                         detail: format!("worker emitted trial {trial} outside its shard"),
@@ -884,11 +869,12 @@ impl SupCtx<'_> {
             }
             if shard.attempts > self.sup.max_retries {
                 let trial = shard.remaining.pop_front().expect("remaining is non-empty");
-                let sampler = self.sampler.expect("pending trials imply a sampler");
+                let sampler =
+                    self.session.sampler.as_ref().expect("pending trials imply a sampler");
                 let (attempts, last_fail) = (shard.attempts, shard.last_fail.clone());
                 let entry = PoisonEntry {
                     trial,
-                    site: sampler.sample(self.cfg.seed, trial),
+                    site: sampler.sample(self.session.cfg.seed, trial),
                     reason: last_fail.clone(),
                     attempts,
                 };
@@ -914,7 +900,7 @@ impl SupCtx<'_> {
             }
             // Workers batch attempt 0 only.
             let attempt = shard.attempts + u32::from(narrowed) + lease_fails;
-            let batched = attempt == 0 && self.runner.batch_width > 1;
+            let batched = attempt == 0 && self.session.runner.batch_width > 1;
             if attempt > 0 {
                 std::thread::sleep(self.backoff(handler, attempt));
             }
@@ -1016,7 +1002,6 @@ impl SupCtx<'_> {
     }
 
     fn handler(&self, id: usize) {
-        let _slot = WorkerGuard::retire_on_drop(self.shared);
         self.drive(id);
         // Backstop: the last handler out must not strand re-offered shards.
         // With work still queued and no stop in flight, every endpoint died
@@ -1061,7 +1046,6 @@ pub fn run_supervised(
     runner: &RunnerConfig,
     sup: &SupervisorConfig,
 ) -> Result<CampaignReport, InjectError> {
-    runner.validate()?;
     if sup.shard_size == 0 {
         return Err(InjectError::BadConfig { detail: "shard_size must be at least 1".into() });
     }
@@ -1072,35 +1056,56 @@ pub fn run_supervised(
     }
 
     let golden = golden_shape(workload, cfg)?;
-    let sampler = campaign_sampler(workload, cfg, &golden)?;
-    let fingerprint = checkpoint::config_fingerprint(workload.name, cfg);
-
-    let durable =
-        restore_durable(runner, workload.name, fingerprint, cfg.mode_bits, cfg.injections)?;
-    let (slots, resumed) = (durable.slots, durable.resumed);
-    let poison_path = sup
-        .poison_path
-        .clone()
-        .or_else(|| runner.checkpoint.as_ref().map(|p| default_poison_path(p)));
-    let prior_poison = match &poison_path {
-        Some(p) => load_or_quarantine_poison(p, fingerprint).map_err(InjectError::from)?,
-        None => Vec::new(),
+    let poison_path =
+        sup.poison_path.clone().or_else(|| runner.checkpoint.as_deref().map(default_poison_path));
+    let mut session = Session::open(workload, cfg, runner, &golden, poison_path)?;
+    let ledger = TrustLedger::new(sup.audit.map_or(0, |a| a.max_failures()));
+    let mut sup = sup.clone();
+    let mut poison: Vec<PoisonEntry> = Vec::new();
+    // Degradation keeps the open session: the next executor runs the same
+    // work list against the same durable state, golden run and exclusions.
+    let fatal = loop {
+        let fleet = run_fleet(&session, &sup, &ledger, session.prior_poison.len() + poison.len());
+        poison.extend(fleet.poison.into_inner().expect("poison lock"));
+        if !fleet.degrade.into_inner() {
+            break fleet.fatal.into_inner().expect("fatal lock");
+        }
+        session.pending.retain(|t| !poison.iter().any(|e| e.trial == *t));
+        if let TransportKind::Tcp { .. } = sup.transport {
+            eprintln!(
+                "warning: no tcp worker produced a record; degrading to local process isolation for this campaign"
+            );
+            sup.transport = TransportKind::Pipe;
+        } else {
+            eprintln!(
+                "warning: process isolation unavailable; degrading to thread isolation for this campaign"
+            );
+            session.run_threads();
+            break None;
+        }
     };
+    let mut report = session.finish(poison, fatal)?;
+    let summary = &mut report.summary;
+    summary.audited = ledger.audited();
+    summary.audit_divergences = ledger.divergences();
+    summary.merge_conflicts = ledger.conflicts();
+    summary.quarantined_endpoints = ledger.quarantined();
+    Ok(report)
+}
 
-    // Work list: not restored, not previously poisoned, cut to the
-    // graceful-stop budget — same ordering contract as thread mode.
-    let mut pending: Vec<u64> = (0..cfg.injections as u64)
-        .filter(|&t| slots[t as usize].is_none() && !prior_poison.iter().any(|e| e.trial == t))
-        .collect();
-    let total_missing = pending.len();
-    if let Some(cap) = runner.cancel.trial_budget() {
-        pending.truncate(cap);
-    }
-
+/// The lease-fleet executor: shard the session's work list, run one
+/// handler per worker until the queue drains or the campaign stops, and
+/// return the fleet's final state (new poison, fatal error, degradation).
+fn run_fleet<'a>(
+    session: &'a Session<'a>,
+    sup: &'a SupervisorConfig,
+    ledger: &'a TrustLedger,
+    prior_poison: usize,
+) -> Fleet<'a> {
     // Contiguous shards with boundaries fixed by trial index, so the shard
     // layout is invariant under the worker count.
     let mut shards: VecDeque<Shard> = VecDeque::new();
-    for &t in &pending {
+    for &t in &session.pending {
         let shard_id = t / sup.shard_size as u64;
         match shards.back_mut() {
             Some(last)
@@ -1114,46 +1119,30 @@ pub fn run_supervised(
             _ => shards.push_back(Shard::new(VecDeque::from([t]))),
         }
     }
-    let workers = match &sup.transport {
-        TransportKind::Tcp { endpoints } => endpoints.len(),
-        TransportKind::Pipe => {
-            if sup.workers == 0 {
-                std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-            } else {
-                sup.workers
-            }
+    let (label, workers) = match &sup.transport {
+        TransportKind::Tcp { endpoints } => ("tcp", endpoints.len()),
+        TransportKind::Pipe if sup.workers == 0 => {
+            ("process", std::thread::available_parallelism().map(usize::from).unwrap_or(1))
         }
-    }
-    .clamp(1, shards.len().max(1));
-    let label = match &sup.transport {
-        TransportKind::Pipe => "process",
-        TransportKind::Tcp { .. } => "tcp",
+        TransportKind::Pipe => ("process", sup.workers),
     };
+    let workers = workers.clamp(1, shards.len().max(1));
 
     // The audit re-executor walks the same executor the workers do, over
     // this campaign's own golden shape and sampler. Built only when
     // something can actually be audited.
-    let auditor = match (sup.audit, &sampler) {
-        (Some(_), Some(sampler)) if !pending.is_empty() => {
-            Some(Mutex::new(TrialExecutor::new(workload, cfg, &golden, sampler, 1)))
-        }
+    let auditor = match (sup.audit, &session.sampler) {
+        (Some(_), Some(sampler)) if !session.pending.is_empty() => Some(Mutex::new(
+            TrialExecutor::new(session.workload, session.cfg, session.golden, sampler, 1),
+        )),
         _ => None,
     };
-
-    let shared = Shared::new(slots, pending.len());
-    shared.adopt_durable(durable.journal, durable.snapshot_failures);
-    shared.active_workers.store(workers, Ordering::SeqCst);
-    let ctx = SupCtx {
-        cfg,
-        runner,
+    let ctx = Fleet {
+        session,
         sup,
-        workload_name: workload.name,
-        fingerprint,
-        sampler: sampler.as_ref(),
-        shared: &shared,
-        prior_poison: prior_poison.len(),
+        prior_poison,
         auditor,
-        ledger: TrustLedger::new(sup.audit.map_or(0, |a| a.max_failures())),
+        ledger,
         queue: LeaseQueue::new(shards),
         poison: Mutex::new(Vec::new()),
         fatal: Mutex::new(None),
@@ -1162,152 +1151,31 @@ pub fn run_supervised(
         handlers: workers,
         retired: AtomicUsize::new(0),
     };
-
-    std::thread::scope(|scope| {
-        if let Some(interval) = runner.heartbeat {
-            if !pending.is_empty() {
-                let ctx = &ctx;
-                scope.spawn(move || {
-                    ctx.shared.monitor(
-                        interval,
-                        resumed,
-                        cfg.injections,
-                        label,
-                        &|| ctx.queue.leased(),
-                        &|| {
-                            let mut extra = String::new();
-                            if let Some(reason) = ctx.runner.cancel.cancelled() {
-                                let _ = write!(extra, ", draining ({reason})");
-                            }
-                            let n =
-                                ctx.prior_poison + ctx.poison.lock().expect("poison lock").len();
-                            if n > 0 {
-                                let _ = write!(extra, ", poisoned {n}");
-                            }
-                            let audited = ctx.ledger.audited();
-                            if audited > 0 {
-                                let _ = write!(
-                                    extra,
-                                    ", audited {audited} ({} divergent)",
-                                    ctx.ledger.divergences()
-                                );
-                            }
-                            let q = ctx.ledger.quarantined_count();
-                            if q > 0 {
-                                let _ = write!(extra, ", quarantined {q}");
-                            }
-                            extra
-                        },
-                    );
-                });
-            }
+    let extra = || {
+        let mut extra = String::new();
+        let n = ctx.prior_poison + ctx.poison.lock().expect("poison lock").len();
+        if n > 0 {
+            let _ = write!(extra, ", poisoned {n}");
         }
-        for id in 0..workers {
-            let ctx = &ctx;
-            scope.spawn(move || ctx.handler(id));
+        let audited = ctx.ledger.audited();
+        if audited > 0 {
+            let _ = write!(extra, ", audited {audited} ({} divergent)", ctx.ledger.divergences());
         }
-    });
-
-    if ctx.degrade.load(Ordering::SeqCst) {
-        return match &sup.transport {
-            TransportKind::Tcp { .. } => {
-                eprintln!(
-                    "warning: no tcp worker produced a record; degrading to local process isolation for this campaign"
-                );
-                let local = SupervisorConfig { transport: TransportKind::Pipe, ..sup.clone() };
-                run_supervised(workload, cfg, runner, &local)
-            }
-            TransportKind::Pipe => {
-                eprintln!(
-                    "warning: process isolation unavailable; degrading to thread isolation for this campaign"
-                );
-                run_campaign_with(workload, cfg, runner, &golden)
-            }
-        };
-    }
-
-    let mut new_poison = ctx.poison.into_inner().expect("poison lock");
-    new_poison.sort_by_key(|e| e.trial);
-    let newly_poisoned = new_poison.len();
-    let mut all_poison = prior_poison;
-    all_poison.extend(new_poison);
-    all_poison.sort_by_key(|e| e.trial);
-
-    // Persist what we have — records and poisons — even on a fatal error,
-    // so the evidence survives for the resume that follows the fix.
-    let records: Vec<SingleBitRecord> = {
-        let slots = shared.slots.lock().expect("slots lock");
-        slots.iter().flatten().cloned().collect()
+        let q = ctx.ledger.quarantined_count();
+        if q > 0 {
+            let _ = write!(extra, ", quarantined {q}");
+        }
+        extra
     };
-    let snapshot_failures = shared.snapshot_failures.load(Ordering::SeqCst) as u64;
-    if let Some(path) = &runner.checkpoint {
-        final_save(path, workload.name, fingerprint, cfg.mode_bits, &records, snapshot_failures)?;
-    }
-    if let Some(path) = &poison_path {
-        if !all_poison.is_empty() {
-            save_poison(path, workload.name, fingerprint, &all_poison)
-                .map_err(InjectError::from)?;
-        }
-    }
-
-    if let Some(e) = ctx.fatal.into_inner().expect("fatal lock") {
-        return Err(e.into());
-    }
-
-    let mut bundles = Vec::new();
-    if let Some(dir) = &runner.repro_dir {
-        let writer = crate::bundle::BundleWriter {
-            dir,
-            workload: workload.name,
-            cfg,
-            fingerprint,
-            golden_digest: mbavf_core::rng::fnv1a(&golden.output),
-            cap: runner.repro_cap,
-        };
-        bundles = writer.write(&records, &|r| r.outcome.is_error())?;
-        // Poisoned trials get repro bundles too: the whole point of the
-        // quarantine is that someone replays them later, in isolation.
-        let poison_records: Vec<SingleBitRecord> = all_poison
-            .iter()
-            .map(|e| SingleBitRecord {
-                trial: e.trial,
-                site: e.site,
-                outcome: Outcome::Crash { reason: format!("poison: {}", e.reason) },
-                read_before_overwrite: false,
-            })
-            .collect();
-        bundles.extend(writer.write(&poison_records, &|_| true)?);
-    }
-
-    let newly_run = shared.completed.load(Ordering::SeqCst);
-    let complete = newly_run + newly_poisoned == total_missing;
-    let trial_latency = LatencyStats::from_micros(std::mem::take(
-        &mut *shared.latencies_us.lock().expect("latency lock"),
-    ));
-    Ok(CampaignReport {
-        summary: CampaignSummary {
-            workload: workload.name,
-            records,
-            snapshot_failures,
-            audited: ctx.ledger.audited(),
-            audit_divergences: ctx.ledger.divergences(),
-            merge_conflicts: ctx.ledger.conflicts(),
-            quarantined_endpoints: ctx.ledger.quarantined(),
-        },
-        resumed,
-        newly_run,
-        complete,
-        interrupted: (!complete)
-            .then(|| runner.cancel.cancelled().unwrap_or(crate::cancel::CancelReason::TrialBudget)),
-        bundles,
-        poisoned: all_poison,
-        trial_latency,
-    })
+    session.execute(label, workers, &|| ctx.queue.leased(), &extra, &|id| ctx.handler(id));
+    ctx
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{Outcome, SingleBitRecord};
+    use crate::checkpoint;
     use crate::runner::run_campaign;
     use mbavf_workloads::by_name;
 
@@ -1452,6 +1320,48 @@ mod tests {
         assert_eq!(report.summary, thread.summary);
         assert!(report.complete);
         assert!(report.poisoned.is_empty());
+    }
+
+    /// A resumed campaign that degrades to threads still excludes the trials
+    /// its poison sidecar quarantined: a trial that killed its worker must
+    /// never run inside the supervisor's own process.
+    #[test]
+    fn degraded_resume_keeps_prior_poison() {
+        let w = by_name("transpose").expect("registered");
+        let cfg = CampaignConfig { seed: 7, injections: 8, ..CampaignConfig::default() };
+        let dir = tmpdir("degraded-poison");
+        let ckpt = dir.join("c.json");
+        let thread = run_campaign(&w, &cfg, &RunnerConfig::serial()).unwrap();
+        // An earlier run committed two trials and poisoned trial 3.
+        let partial = RunnerConfig {
+            checkpoint: Some(ckpt.clone()),
+            cancel: crate::cancel::CancelToken::limited(2),
+            ..RunnerConfig::serial()
+        };
+        run_campaign(&w, &cfg, &partial).unwrap();
+        let entry = PoisonEntry {
+            trial: 3,
+            site: thread.summary.records[3].site,
+            reason: "worker died (signal: 6) with 1 trials left".into(),
+            attempts: 3,
+        };
+        let fp = checkpoint::config_fingerprint(w.name, &cfg);
+        save_poison(&default_poison_path(&ckpt), w.name, fp, &[entry]).unwrap();
+
+        let sup = SupervisorConfig {
+            workers: 1,
+            worker_cmd: Some(vec!["/nonexistent/mbavf-worker".into()]),
+            ..SupervisorConfig::default()
+        };
+        let runner = RunnerConfig { checkpoint: Some(ckpt.clone()), ..RunnerConfig::serial() };
+        let report = run_supervised(&w, &cfg, &runner, &sup).unwrap();
+        assert!(report.summary.records.iter().all(|r| r.trial != 3), "poisoned trial re-ran");
+        assert_eq!(report.poisoned.len(), 1);
+        assert!(report.complete);
+        let mut expected = thread.summary.records.clone();
+        expected.remove(3);
+        assert_eq!(report.summary.records, expected);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

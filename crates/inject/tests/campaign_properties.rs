@@ -305,6 +305,43 @@ fn adaptive_resume_matches_uninterrupted() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A hard kill early in stage 2 leaves journal frames for trials past the
+/// last snapshot's stage-1 budget. The resume must pick its stage from the
+/// snapshot and the journal together, and converge to the uninterrupted run.
+#[test]
+fn adaptive_resume_after_a_kill_before_the_first_stage_two_snapshot() {
+    let w = by_name("fast_walsh").expect("registered");
+    let cfg = CampaignConfig { seed: 0x2E5, ..CampaignConfig::default() };
+    let adaptive =
+        AdaptiveConfig { target_halfwidth: 0.08, batch: 16, max_injections: 256, confidence: 0.95 };
+    let uninterrupted = run_adaptive(&w, &cfg, &RunnerConfig::serial(), &adaptive).unwrap();
+    assert!(uninterrupted.stages.len() > 1, "want a multi-stage run: {:?}", uninterrupted.stages);
+
+    let dir = tmpdir("adaptive-kill");
+    let path = dir.join("ada.json");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(checkpoint::wal::wal_path(&path)).ok();
+    let runner = RunnerConfig { checkpoint: Some(path.clone()), ..RunnerConfig::serial() };
+    // Stage 1, complete and checkpointed.
+    let stage1 = CampaignConfig { injections: 16, ..cfg };
+    assert!(run_campaign(&w, &stage1, &runner).unwrap().complete);
+    // Stage 2 killed after four commits: their frames reached the journal,
+    // no snapshot did.
+    let stage2 = CampaignConfig { injections: 32, ..cfg };
+    let records = run_campaign(&w, &stage2, &RunnerConfig::serial()).unwrap().summary.records;
+    let fingerprint = checkpoint::config_fingerprint(w.name, &cfg);
+    let mut wal =
+        checkpoint::wal::WalWriter::create(&path, w.name, fingerprint, cfg.mode_bits).unwrap();
+    for r in records.iter().filter(|r| (16..20).contains(&r.trial)) {
+        wal.append(r).unwrap();
+    }
+    drop(wal);
+
+    let resumed = run_adaptive(&w, &cfg, &runner, &adaptive).unwrap();
+    assert_eq!(resumed.report.summary, uninterrupted.report.summary);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A corrupt (truncated) checkpoint is quarantined to `<path>.corrupt` and
 /// the campaign restarts cleanly, reproducing the uncorrupted summary.
 #[test]
