@@ -1,5 +1,5 @@
-//! Campaign hot-path microbenchmark: clone-per-trial vs. reusable arena
-//! vs. lockstep trial batching.
+//! Campaign benchmark: the hot path (clone-per-trial vs. reusable arena
+//! vs. lockstep trial batching) and the whole campaign end to end.
 //!
 //! Measures the same pre-sampled fault sites through three trial paths —
 //! the historical [`run_one`] (fresh `Workload::build` per trial, a full
@@ -18,7 +18,11 @@
 //!   "speedup": ...,
 //!   "batch": {"width": 8, "trials_per_sec": ..., "allocs_per_trial": ...,
 //!             "lockstep_completed": ..., "retired_to_sequential": ...},
-//!   "batch_speedup": ...
+//!   "batch_speedup": ...,
+//!   "e2e": {"width": 8, "threads": 2,
+//!           "plain": {"trials_per_sec": ...},
+//!           "journaled": {"trials_per_sec": ..., "write_syscalls": ...},
+//!           "journaled_slowdown": ..., "journal_writes_per_trial": ...}
 //! }
 //! ```
 //!
@@ -28,12 +32,24 @@
 //! arena-vs-baseline speedup and `--min-batch-speedup X` gates the
 //! batch-vs-arena speedup for CI.
 //!
+//! The `e2e` section times two real [`run_campaign`] calls over the same
+//! trials at the bench's batch width on two threads: one without a
+//! checkpoint, one with checkpoint + write-ahead journal in a fresh
+//! directory, and requires their records to agree. It counts the write
+//! syscalls of the journaled run from `/proc/self/io` (`syscw`, Linux
+//! only) beyond those of the plain run: `journal_writes_per_trial`. Journal
+//! group commit makes that about one write per lockstep group, and
+//! `--max-journal-writes-per-trial X` gates it. A syscall count does not
+//! depend on the machine's speed or load, so the gate cannot flake.
+//!
 //! ```text
 //! campaign_bench [--workload NAME] [--trials N] [--out FILE]
 //!                [--batch-width W] [--min-speedup X] [--min-batch-speedup X]
+//!                [--max-journal-writes-per-trial X]
 //! ```
 
 use mbavf_inject::campaign::{run_one, CampaignConfig, OutcomeKind, SiteSampler};
+use mbavf_inject::{run_campaign, CampaignSummary, RunnerConfig};
 use mbavf_sim::interp::{run_golden, InterpError, Termination};
 use mbavf_sim::{TrialArena, TrialBatch, TrialResult};
 use mbavf_workloads::by_name;
@@ -69,7 +85,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const USAGE: &str = "usage: campaign_bench [--workload NAME] [--trials N] [--out FILE]\n\
-                       [--batch-width W] [--min-speedup X] [--min-batch-speedup X]";
+                       [--batch-width W] [--min-speedup X] [--min-batch-speedup X]\n\
+                       [--max-journal-writes-per-trial X]";
+
+/// Worker threads of the end-to-end campaigns.
+const E2E_THREADS: usize = 2;
 
 struct PathStats {
     trials_per_sec: f64,
@@ -111,6 +131,28 @@ fn measure(trials: usize, mut trial: impl FnMut(usize)) -> PathStats {
     }
 }
 
+/// This process's write syscalls so far (`syscw` in `/proc/self/io`, all
+/// threads); `None` where procfs does not report it.
+fn write_syscalls() -> Option<u64> {
+    let io = std::fs::read_to_string("/proc/self/io").ok()?;
+    io.lines().find_map(|line| line.strip_prefix("syscw:")).and_then(|v| v.trim().parse().ok())
+}
+
+/// One timed end-to-end campaign: its summary, trials per second, and the
+/// write syscalls it made (when procfs reports them).
+fn e2e_run(
+    workload: &mbavf_workloads::Workload,
+    cfg: &CampaignConfig,
+    runner: &RunnerConfig,
+) -> Result<(CampaignSummary, f64, Option<u64>), String> {
+    let writes0 = write_syscalls();
+    let t0 = Instant::now();
+    let report = run_campaign(workload, cfg, runner).map_err(|e| e.to_string())?;
+    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    let writes = write_syscalls().zip(writes0).map(|(after, before)| after - before);
+    Ok((report.summary, cfg.injections as f64 / secs, writes))
+}
+
 fn main() -> ExitCode {
     let mut workload = "fast_walsh".to_string();
     let mut trials = 300usize;
@@ -118,6 +160,7 @@ fn main() -> ExitCode {
     let mut batch_width = 8usize;
     let mut min_speedup: Option<f64> = None;
     let mut min_batch_speedup: Option<f64> = None;
+    let mut max_journal_writes: Option<f64> = None;
 
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -148,6 +191,11 @@ fn main() -> ExitCode {
                 v.parse()
                     .map(|x| min_batch_speedup = Some(x))
                     .map_err(|e| format!("--min-batch-speedup: {e}"))
+            }),
+            "--max-journal-writes-per-trial" => value().and_then(|v| {
+                v.parse()
+                    .map(|x| max_journal_writes = Some(x))
+                    .map_err(|e| format!("--max-journal-writes-per-trial: {e}"))
             }),
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -247,6 +295,37 @@ fn main() -> ExitCode {
         }
     }
 
+    // End to end: the same campaign without and with checkpoint + journal.
+    let e2e_runner = RunnerConfig { threads: E2E_THREADS, batch_width, ..RunnerConfig::default() };
+    let (plain_summary, plain_rate, plain_writes) = match e2e_run(&w, &cfg, &e2e_runner) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("e2e campaign failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let dir = std::env::temp_dir().join(format!("campaign_bench-{}", std::process::id()));
+    let journaled_runner =
+        RunnerConfig { checkpoint: Some(dir.join("bench.ckpt.json")), ..e2e_runner.clone() };
+    let journaled = std::fs::create_dir_all(&dir)
+        .map_err(|e| format!("cannot create {}: {e}", dir.display()))
+        .and_then(|()| e2e_run(&w, &cfg, &journaled_runner));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (journaled_summary, journaled_rate, journaled_writes) = match journaled {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("journaled e2e campaign failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if journaled_summary != plain_summary {
+        eprintln!("e2e: the journaled campaign's records differ from the plain campaign's");
+        return ExitCode::FAILURE;
+    }
+    let journal_writes = journaled_writes
+        .zip(plain_writes)
+        .map(|(journaled, plain)| journaled.saturating_sub(plain) as f64 / trials as f64);
+
     let speedup = arena_stats.trials_per_sec / base.trials_per_sec.max(1e-9);
     let batch_speedup = batch_stats.trials_per_sec / arena_stats.trials_per_sec.max(1e-9);
     let doc = format!(
@@ -257,7 +336,11 @@ fn main() -> ExitCode {
          \"batch\": {{\"width\": {batch_width}, \"trials_per_sec\": {:.1}, \
          \"allocs_per_trial\": {:.2}, \"lockstep_completed\": {}, \
          \"retired_to_sequential\": {}}},\n  \
-         \"batch_speedup\": {batch_speedup:.2}\n}}\n",
+         \"batch_speedup\": {batch_speedup:.2},\n  \
+         \"e2e\": {{\"width\": {batch_width}, \"threads\": {E2E_THREADS}, \
+         \"plain\": {{\"trials_per_sec\": {plain_rate:.1}}}, \
+         \"journaled\": {{\"trials_per_sec\": {journaled_rate:.1}, \"write_syscalls\": {}}}, \
+         \"journaled_slowdown\": {:.2}, \"journal_writes_per_trial\": {}}}\n}}\n",
         base.trials_per_sec,
         base.allocs_per_trial,
         arena_stats.trials_per_sec,
@@ -266,6 +349,9 @@ fn main() -> ExitCode {
         batch_stats.allocs_per_trial,
         batch.lockstep_completed(),
         batch.retired_to_sequential(),
+        journaled_writes.map_or("null".to_string(), |n| n.to_string()),
+        plain_rate / journaled_rate.max(1e-9),
+        journal_writes.map_or("null".to_string(), |x| format!("{x:.3}")),
     );
     print!("{doc}");
     if let Err(e) = std::fs::write(&out, &doc) {
@@ -286,6 +372,22 @@ fn main() -> ExitCode {
                 "batch speedup {batch_speedup:.2}x (width {batch_width}) below required {min:.2}x"
             );
             return ExitCode::from(2);
+        }
+    }
+    if let Some(max) = max_journal_writes {
+        match journal_writes {
+            None => {
+                eprintln!("--max-journal-writes-per-trial: /proc/self/io reports no syscw here");
+                return ExitCode::FAILURE;
+            }
+            Some(per_trial) if per_trial > max => {
+                eprintln!(
+                    "journal writes per trial {per_trial:.3} (width {batch_width}) above the \
+                     allowed {max:.3}"
+                );
+                return ExitCode::from(2);
+            }
+            Some(_) => {}
         }
     }
     ExitCode::SUCCESS

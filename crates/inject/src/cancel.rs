@@ -19,9 +19,9 @@
 //!   before spawning workers, so a budgeted run executes exactly the
 //!   first `N` missing trials regardless of thread count or timing.
 //!
-//! Cancellation is cooperative and checked at trial boundaries only, so a
-//! cancelled run always ends on a committed-record boundary: the WAL is
-//! fsync'd per trial as usual, the normal exit path writes the final
+//! Cancellation is cooperative and checked at trial-group boundaries only,
+//! so a cancelled run always ends on a committed-record boundary: the WAL
+//! is fsync'd per group as usual, the normal exit path writes the final
 //! checkpoint, and resuming converges bit-identically to an uninterrupted
 //! run. The token is `Clone` (shared handle), cheap to poll (one atomic
 //! load), and first-cancel-wins: later reasons never overwrite the first.

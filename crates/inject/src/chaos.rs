@@ -222,8 +222,26 @@ pub(crate) fn current() -> Option<Arc<ChaosEngine>> {
     global().lock().expect("chaos current lock").clone()
 }
 
+#[cfg(test)]
+thread_local! {
+    static SCRIPT: std::cell::RefCell<std::collections::VecDeque<Fault>> =
+        std::cell::RefCell::default();
+}
+
+/// Queue `faults` as the verdicts of this thread's next draws, ahead of any
+/// installed engine (unit tests only: a script is thread-local, so unlike
+/// [`install`] it cannot leak into tests running in parallel).
+#[cfg(test)]
+pub(crate) fn script(faults: &[Fault]) {
+    SCRIPT.with(|s| s.borrow_mut().extend(faults.iter().copied()));
+}
+
 /// Draw a verdict from the global engine; `Fault::None` when chaos is off.
 pub(crate) fn draw(class: OpClass) -> Fault {
+    #[cfg(test)]
+    if let Some(fault) = SCRIPT.with(|s| s.borrow_mut().pop_front()) {
+        return fault;
+    }
     match current() {
         Some(engine) => engine.draw(class),
         None => Fault::None,

@@ -183,16 +183,43 @@ pub fn render(
     mode_bits: u8,
     records: &[SingleBitRecord],
 ) -> String {
-    let mut out = String::with_capacity(64 + records.len() * 96);
+    let capacity = 64 + records.len() * 96;
+    render_with(workload, config_hash, mode_bits, capacity, records, write_record)
+}
+
+/// [`render`] assembled from records already serialized by
+/// [`write_record`], in trial order: a campaign session keeps each
+/// committed record's journal-frame text, so a snapshot copies those bytes
+/// instead of serializing every record again. Byte-identical to [`render`]
+/// over the same records.
+pub(crate) fn render_texts<'t>(
+    workload: &str,
+    config_hash: u64,
+    mode_bits: u8,
+    texts: impl Iterator<Item = &'t str> + Clone,
+) -> String {
+    let capacity = 64 + texts.clone().map(|t| t.len() + 6).sum::<usize>();
+    render_with(workload, config_hash, mode_bits, capacity, texts, |out, t| out.push_str(t))
+}
+
+fn render_with<T>(
+    workload: &str,
+    config_hash: u64,
+    mode_bits: u8,
+    capacity: usize,
+    records: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) -> String {
+    let mut out = String::with_capacity(capacity);
     let _ = write!(out, "{{\n  \"version\": {VERSION},\n  \"workload\": ");
     json::write_str(&mut out, workload);
     let _ = write!(
         out,
         ",\n  \"config_hash\": {config_hash},\n  \"mode_bits\": {mode_bits},\n  \"records\": ["
     );
-    for (i, r) in records.iter().enumerate() {
+    for (i, r) in records.into_iter().enumerate() {
         out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        write_record(&mut out, r);
+        write(&mut out, r);
     }
     out.push_str("\n  ]\n}\n");
     out
@@ -212,7 +239,12 @@ pub fn save(
     mode_bits: u8,
     records: &[SingleBitRecord],
 ) -> Result<(), CheckpointError> {
-    let doc = render(workload, config_hash, mode_bits, records);
+    save_document(path, &render(workload, config_hash, mode_bits, records))
+}
+
+/// Atomically and durably write an already-rendered checkpoint document
+/// ([`render`] or [`render_texts`]) to `path`, as [`save`] does.
+pub(crate) fn save_document(path: &Path, doc: &str) -> Result<(), CheckpointError> {
     crate::durable::atomic_write_durable(path, doc.as_bytes()).map_err(|e| CheckpointError::Io {
         path: path.display().to_string(),
         detail: e.to_string(),

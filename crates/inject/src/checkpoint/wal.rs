@@ -3,10 +3,13 @@
 //!
 //! The periodic snapshot ([`super::save`]) is an O(N) rewrite, so it runs
 //! on a cadence — which used to mean a crash could discard up to a whole
-//! cadence of committed trials. The journal closes that gap: each committed
-//! trial appends one frame to `<checkpoint>.wal` and fsyncs it, O(1) per
-//! trial, so after any crash at most the single *in-flight* frame is lost,
-//! never a committed one.
+//! cadence of committed trials. The journal closes that gap with group
+//! commit: the records of one lockstep group (one [`WalWriter::append_group`]
+//! call, at most the batch width) are framed into one buffer, written with
+//! one `write` and made durable with one `fsync`, and only then count as
+//! committed. After any crash at most the one *in-flight* group is lost —
+//! none of its trials counted yet — never a committed one. At batch width 1
+//! a group is a single trial.
 //!
 //! ## On-disk format (journal version 1)
 //!
@@ -66,12 +69,10 @@ pub fn wal_path(checkpoint: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-fn frame_bytes(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
+fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(&crc32(payload).to_be_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 fn header_payload(workload: &str, config_hash: u64, mode_bits: u8) -> String {
@@ -86,18 +87,24 @@ fn io_err(path: &Path, e: &std::io::Error) -> CheckpointError {
     CheckpointError::Io { path: path.display().to_string(), detail: e.to_string() }
 }
 
-/// An open journal accepting one frame per committed trial.
+/// An open journal accepting one group of frames per commit.
 ///
-/// Appends are self-repairing under retry: before each attempt the file is
-/// truncated back to the last committed frame boundary, so a torn write
-/// from a failed attempt can never leave a half-frame in front of a later
-/// successful one.
+/// A clean append is one `write` and one `fsync`. Appends are
+/// self-repairing under retry: once an attempt has failed, the file is
+/// truncated back to the last committed frame boundary before the next
+/// write, so a torn write from a failed attempt can never leave a
+/// half-frame in front of a later successful one.
 #[derive(Debug)]
 pub struct WalWriter {
     path: PathBuf,
     file: File,
     /// Byte length of the journal's committed (fsynced, whole-frame) prefix.
     committed: u64,
+    /// Whether the file may hold bytes past `committed` (a failed attempt,
+    /// or a reset): the next write rolls back first.
+    dirty: bool,
+    /// The group being appended, framed; reused across appends.
+    buf: Vec<u8>,
 }
 
 impl WalWriter {
@@ -122,38 +129,60 @@ impl WalWriter {
             .truncate(false)
             .open(&path)
             .map_err(|e| io_err(&path, &e))?;
-        let mut writer = WalWriter { path, file, committed: 0 };
+        let mut writer = WalWriter { path, file, committed: 0, dirty: true, buf: Vec::new() };
         writer.reset(workload, config_hash, mode_bits)?;
         Ok(writer)
     }
 
-    /// Append one committed trial record as a durable frame.
+    /// Append one committed trial record as a durable frame: a group of
+    /// one ([`Self::append_group`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::append_group`].
+    pub fn append(&mut self, record: &SingleBitRecord) -> Result<(), CheckpointError> {
+        let mut payload = String::with_capacity(96);
+        write_record(&mut payload, record);
+        self.append_group([payload.as_str()])
+    }
+
+    /// Append a group of record payloads — each a record serialized by
+    /// [`super::write_record`] — as consecutive frames with one `write` and
+    /// one `fsync`. The group is durable, whole, when this returns `Ok`.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] once bounded retry is exhausted, or
-    /// [`CheckpointError::Malformed`] for a record serializing past
-    /// [`MAX_FRAME`]; either way the journal is left at its previous
-    /// committed length (the failed frame is rolled back or never written),
-    /// so the writer stays usable if the caller wants to continue.
-    pub fn append(&mut self, record: &SingleBitRecord) -> Result<(), CheckpointError> {
-        let mut payload = String::with_capacity(96);
-        write_record(&mut payload, record);
-        if payload.len() > MAX_FRAME {
-            // Mirror the transport's write_frame cap: recover() treats any
-            // length prefix past MAX_FRAME as corruption, so writing such a
-            // frame now would quarantine the whole journal — and discard
-            // every frame after this one — at the next resume.
-            return Err(CheckpointError::Malformed {
-                detail: format!(
-                    "trial {} record serializes to {} bytes, over the {MAX_FRAME}-byte \
-                     journal frame cap",
-                    record.trial,
-                    payload.len()
-                ),
-            });
+    /// [`CheckpointError::Malformed`] when any payload is longer than
+    /// [`MAX_FRAME`], which rejects the whole group unwritten. Either way the
+    /// journal is left at its previous committed length, so the writer
+    /// stays usable if the caller wants to continue.
+    pub fn append_group<'t>(
+        &mut self,
+        payloads: impl IntoIterator<Item = &'t str>,
+    ) -> Result<(), CheckpointError> {
+        self.buf.clear();
+        for (i, payload) in payloads.into_iter().enumerate() {
+            if payload.len() > MAX_FRAME {
+                // Mirror the transport's write_frame cap: recover() treats
+                // any length prefix past MAX_FRAME as corruption, so writing
+                // such a frame now would quarantine the whole journal — and
+                // discard every frame after this one — at the next resume.
+                let head: String = payload.chars().take(24).collect();
+                return Err(CheckpointError::Malformed {
+                    detail: format!(
+                        "record {i} of the group ({head}…) serializes to {} bytes, over the \
+                         {MAX_FRAME}-byte journal frame cap",
+                        payload.len()
+                    ),
+                });
+            }
+            push_frame(&mut self.buf, payload.as_bytes());
         }
-        self.append_frame(payload.as_bytes())
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        self.write_group()
     }
 
     /// Reset the journal to just the campaign header — called after each
@@ -166,28 +195,41 @@ impl WalWriter {
         config_hash: u64,
         mode_bits: u8,
     ) -> Result<(), CheckpointError> {
+        // Committed length 0 plus the dirty mark: the write that follows
+        // truncates the file to nothing before laying down the header.
         self.committed = 0;
-        self.append_frame(header_payload(workload, config_hash, mode_bits).as_bytes())
+        self.dirty = true;
+        self.buf.clear();
+        push_frame(&mut self.buf, header_payload(workload, config_hash, mode_bits).as_bytes());
+        self.write_group()
     }
 
-    fn append_frame(&mut self, payload: &[u8]) -> Result<(), CheckpointError> {
-        let bytes = frame_bytes(payload);
-        let file = &mut self.file;
-        let committed = self.committed;
+    /// Write `buf` at the committed boundary and fsync it, with bounded
+    /// retry. Only a dirty file (after a failed attempt or a reset) is
+    /// rolled back to `committed` first; the clean path is write + fsync.
+    fn write_group(&mut self) -> Result<(), CheckpointError> {
+        let WalWriter { path, file, committed, dirty, buf } = self;
+        let committed = *committed;
         with_retry(|| {
-            // Roll back any torn partial append before (re)trying.
-            file.set_len(committed)?;
-            file.seek(SeekFrom::Start(committed))?;
-            chaos_write(file, &bytes)?;
-            chaos_fsync(file)
+            if *dirty {
+                file.set_len(committed)?;
+                file.seek(SeekFrom::Start(committed))?;
+            }
+            // Until the fsync returns, the bytes past `committed` are in
+            // doubt: a failure anywhere below leaves the file dirty.
+            *dirty = true;
+            chaos_write(file, buf)?;
+            chaos_fsync(file)?;
+            *dirty = false;
+            Ok(())
         })
         .map_err(|e| {
             // Best-effort rollback so a torn final attempt is not left
             // dangling past the committed boundary.
-            let _ = self.file.set_len(committed);
-            io_err(&self.path, &e)
+            let _ = file.set_len(committed);
+            io_err(path, &e)
         })?;
-        self.committed += bytes.len() as u64;
+        self.committed += self.buf.len() as u64;
         Ok(())
     }
 }
@@ -542,6 +584,131 @@ mod tests {
         drop(w);
         let got = recover(&ckpt, "dct", 0xFEED).unwrap();
         assert_eq!(got.records, vec![rec(0), rec(2)]);
+        assert_eq!(got.torn_tail, 0);
+        assert!(got.quarantined.is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn text(r: &SingleBitRecord) -> String {
+        let mut out = String::new();
+        write_record(&mut out, r);
+        out
+    }
+
+    fn append_records(w: &mut WalWriter, records: &[SingleBitRecord]) {
+        let texts: Vec<String> = records.iter().map(text).collect();
+        w.append_group(texts.iter().map(String::as_str)).unwrap();
+    }
+
+    #[test]
+    fn append_group_roundtrips_in_order() {
+        let dir = tmpdir("group-roundtrip");
+        let ckpt = dir.join("c.json");
+        let mut w = WalWriter::create(&ckpt, "dct", 0xFEED, 2).unwrap();
+        append_records(&mut w, &[rec(5), rec(2), rec(9)]);
+        w.append(&rec(0)).unwrap();
+        append_records(&mut w, &[rec(7), rec(1)]);
+        // An empty group writes nothing and fails nothing.
+        let len = std::fs::metadata(wal_path(&ckpt)).unwrap().len();
+        w.append_group([]).unwrap();
+        assert_eq!(std::fs::metadata(wal_path(&ckpt)).unwrap().len(), len);
+        drop(w);
+        let got = recover(&ckpt, "dct", 0xFEED).unwrap();
+        assert_eq!(got.records, vec![rec(5), rec(2), rec(9), rec(0), rec(7), rec(1)]);
+        assert_eq!(got.torn_tail, 0);
+        assert!(got.quarantined.is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A crash mid-append can cut a group's one write anywhere: recovery
+    /// keeps exactly the whole frames before the cut — a torn tail, never
+    /// corruption.
+    #[test]
+    fn a_group_cut_at_every_byte_recovers_the_whole_frames_before_the_cut() {
+        let dir = tmpdir("group-torn");
+        let ckpt = dir.join("c.json");
+        let mut w = WalWriter::create(&ckpt, "dct", 0xFEED, 1).unwrap();
+        let header_len = w.committed as usize;
+        let group = [rec(4), rec(1), rec(6)];
+        append_records(&mut w, &group);
+        drop(w);
+        let path = wal_path(&ckpt);
+        let intact = std::fs::read(&path).unwrap();
+
+        for cut in header_len..=intact.len() {
+            std::fs::write(&path, &intact[..cut]).unwrap();
+            let got = recover(&ckpt, "dct", 0xFEED).unwrap();
+            assert!(got.quarantined.is_none(), "cut={cut} must be torn, not corrupt");
+            let whole = expected_complete(&intact, cut);
+            assert_eq!(got.records, group[..whole], "cut at {cut} bytes");
+            // The header frame plus the whole record frames survive.
+            assert_eq!(got.torn_tail as usize, cut - frame_end(&intact, whole + 1), "cut={cut}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Byte offset just past the first `frames` frames of `bytes`.
+    fn frame_end(bytes: &[u8], frames: usize) -> usize {
+        (0..frames).fold(0, |offset, _| {
+            let len = u32::from_be_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
+            offset + 8 + len
+        })
+    }
+
+    #[test]
+    fn an_oversized_record_rejects_its_whole_group_and_keeps_the_writer_usable() {
+        let dir = tmpdir("group-oversize");
+        let ckpt = dir.join("c.json");
+        let mut w = WalWriter::create(&ckpt, "dct", 0xFEED, 1).unwrap();
+        w.append(&rec(0)).unwrap();
+        let committed = w.committed;
+        let mut big = rec(2);
+        big.outcome = Outcome::Crash { reason: "x".repeat(MAX_FRAME + 1) };
+        let texts = [text(&rec(1)), text(&big), text(&rec(3))];
+        let err = w.append_group(texts.iter().map(String::as_str));
+        assert!(matches!(err, Err(CheckpointError::Malformed { .. })), "{err:?}");
+        // Nothing of the group reached the file, not even the frame before
+        // the oversized one.
+        assert_eq!(w.committed, committed);
+        assert_eq!(std::fs::metadata(wal_path(&ckpt)).unwrap().len(), committed);
+        append_records(&mut w, &[rec(4), rec(5)]);
+        drop(w);
+        let got = recover(&ckpt, "dct", 0xFEED).unwrap();
+        assert_eq!(got.records, vec![rec(0), rec(4), rec(5)]);
+        assert_eq!(got.torn_tail, 0);
+        assert!(got.quarantined.is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A failed attempt (a torn write, or a write whose fsync failed) leaves
+    /// bytes past the committed boundary; the retry must truncate them
+    /// before it rewrites the group, or the journal would hold the group's
+    /// torn prefix in front of the group.
+    #[test]
+    fn a_failed_attempt_is_rolled_back_before_the_retry() {
+        use crate::chaos::{script, Fault};
+        let dir = tmpdir("group-retry");
+        let ckpt = dir.join("c.json");
+        let mut w = WalWriter::create(&ckpt, "dct", 0xFEED, 1).unwrap();
+        append_records(&mut w, &[rec(0), rec(1)]);
+        let mut expected = std::fs::read(wal_path(&ckpt)).unwrap();
+
+        // Verdicts in draw order: attempt 1 tears its write; attempt 2
+        // writes whole but its fsync fails; attempt 3 succeeds.
+        script(&[Fault::Torn { keep_64ths: 40 }, Fault::None, Fault::FsyncFailed]);
+        let group = [rec(2), rec(3), rec(4)];
+        append_records(&mut w, &group);
+        for r in &group {
+            push_frame(&mut expected, text(r).as_bytes());
+        }
+        assert_eq!(std::fs::read(wal_path(&ckpt)).unwrap(), expected);
+        assert_eq!(w.committed, expected.len() as u64);
+
+        // The writer is clean again: the next group appends in place.
+        append_records(&mut w, &[rec(5)]);
+        drop(w);
+        let got = recover(&ckpt, "dct", 0xFEED).unwrap();
+        assert_eq!(got.records, (0..6).map(rec).collect::<Vec<_>>());
         assert_eq!(got.torn_tail, 0);
         assert!(got.quarantined.is_none());
         std::fs::remove_dir_all(&dir).ok();

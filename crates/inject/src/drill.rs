@@ -12,7 +12,7 @@
 //! | `MBAVF_NET_STALL_DRILL=<t>` | every attempt | freeze before trial `t`, heartbeat still beating |
 //! | `MBAVF_NET_DRILL=<t>` | first attempt | after trial `t`, replay the lease's records, then tear a frame and hang up |
 //! | `MBAVF_LIE_DRILL=<seed>:<rate>` | every record | flip verdicts on a chaos schedule |
-//! | `MBAVF_PREEMPT_DRILL=<n>[:2]` | once | SIGTERM self after the `n`-th commit (`:2` twice) |
+//! | `MBAVF_PREEMPT_DRILL=<n>[:2]` | once | SIGTERM self after the commit that reaches `n` trials (`:2` twice) |
 //!
 //! The trial drills are checked by the worker lease loop at each trial
 //! boundary — at batch width above 1, the boundary of the lockstep group

@@ -16,11 +16,17 @@
 //! With [`RunnerConfig::checkpoint`] set, the runner loads any existing
 //! checkpoint (validating its config fingerprint), replays the write-ahead
 //! trial journal over it ([`checkpoint::wal`]), and runs only the missing
-//! trials. Every committed trial appends one CRC-framed, fsynced frame to
-//! `<checkpoint>.wal` — O(1) durability per trial — and every
-//! [`RunnerConfig::checkpoint_every`] completions the snapshot is compacted
-//! atomically and the journal reset. A campaign killed at any point loses
-//! at most the single in-flight trial, never a committed one.
+//! trials. Commits are grouped: each lockstep group a worker runs (one
+//! trial at batch width 1, at most [`RunnerConfig::batch_width`] otherwise)
+//! is appended to `<checkpoint>.wal` as CRC-framed records with one write
+//! and one fsync, and its trials count as completed only after that fsync
+//! returns. Whenever the completed count crosses a multiple of
+//! [`RunnerConfig::checkpoint_every`] the snapshot is compacted atomically
+//! and the journal reset; a group lands wholly before or wholly after a
+//! snapshot. A campaign killed at any point loses at most the one in-flight
+//! group — none of whose trials had counted — never a committed trial.
+//! Each record is serialized once, when it commits: that text is its
+//! journal frame and its entry in every later snapshot.
 //!
 //! Durable-write failures degrade instead of killing the run: a failed
 //! journal append falls back to snapshot-only checkpointing, repeated
@@ -240,8 +246,8 @@ pub(crate) struct Session<'a> {
     poison_path: Option<PathBuf>,
     /// Trials poisoned by earlier runs, excluded from the work list.
     pub(crate) prior_poison: Vec<PoisonEntry>,
-    /// One slot per trial in the budget; `Some` once completed.
-    slots: Mutex<Vec<Option<SingleBitRecord>>>,
+    /// One slot per trial in the budget, with each committed record's text.
+    slots: Mutex<Slots>,
     /// Completions since the run started (drives checkpoint cadence).
     pub(crate) completed: AtomicUsize,
     /// Completions per outcome class (heartbeat reporting).
@@ -292,9 +298,11 @@ impl<'a> Session<'a> {
             Some(path) => load_or_quarantine_poison(path, fingerprint)?,
             None => Vec::new(),
         };
-        let slots = durable.slots;
+        let slots = Slots { records: durable.slots, texts: durable.texts };
         let mut pending: Vec<u64> = (0..cfg.injections as u64)
-            .filter(|&t| slots[t as usize].is_none() && !prior_poison.iter().any(|e| e.trial == t))
+            .filter(|&t| {
+                slots.records[t as usize].is_none() && !prior_poison.iter().any(|e| e.trial == t)
+            })
             .collect();
         let missing = pending.len();
         if let Some(cap) = runner.cancel.trial_budget() {
@@ -325,41 +333,56 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// Commit one record — the one commit path of every executor: merge it
-    /// into its trial's slot, append it to the write-ahead journal, count
-    /// it, snapshot on the checkpoint cadence, and fire the preemption
-    /// drill. `leased` is whether the sender holds a lease covering the
-    /// trial (thread workers always do); without one, only a byte-equal
-    /// replay of a committed record is tolerated. Only a
-    /// [`MergeVerdict::Fresh`] record is journaled and counted, so a replay
-    /// can never inflate the campaign.
+    /// Commit one group of records — the one commit path of every
+    /// executor: merge each into its trial's slot, append the fresh ones to
+    /// the write-ahead journal with one write and one fsync, count them,
+    /// snapshot when the completed count crosses the checkpoint cadence,
+    /// and fire the preemption drill. Thread workers commit each lockstep
+    /// group whole; the lease fleet commits one record at a time. `leased`
+    /// is whether the sender holds a lease covering the trials (thread
+    /// workers always do); without one, only a byte-equal replay of a
+    /// committed record is tolerated. Returns one [`MergeVerdict`] per
+    /// record, in order. Only [`MergeVerdict::Fresh`] records are journaled
+    /// and counted, so a replay can never inflate the campaign, and they
+    /// are counted only once their group is durable.
     ///
     /// The merge and the journal append happen together under the journal
     /// lock (lock order: journal → slots). [`Session::snapshot`] holds the
     /// same lock while it collects slots and resets the journal, so it can
-    /// never observe a record's frame without its slot: splitting the pair
-    /// reopens the race where a snapshot saves slots missing the record and
-    /// then resets the journal over its only durable copy. Journaling only
-    /// what the merge accepted keeps foreign records out of every future
-    /// recovery.
+    /// never observe a record's frame without its slot, and a group lands
+    /// wholly before or wholly after it: splitting the pair reopens the race
+    /// where a snapshot saves slots missing the record and then resets the
+    /// journal over its only durable copy. Journaling only what the merge
+    /// accepted keeps foreign records out of every future recovery.
     pub(crate) fn commit(
         &self,
-        record: SingleBitRecord,
-        elapsed_us: u64,
+        group: impl IntoIterator<Item = (SingleBitRecord, u64)>,
         leased: bool,
-    ) -> MergeVerdict {
-        let (kind, trial) = (record.outcome.kind(), record.trial as usize);
+    ) -> Vec<MergeVerdict> {
+        let checkpointing = self.runner.checkpoint.is_some();
+        let mut verdicts = Vec::new();
+        // (trial, kind, latency) of each fresh record.
+        let mut fresh: Vec<(usize, OutcomeKind, u64)> = Vec::new();
         {
             let mut journal = self.journal.lock().expect("journal lock");
             let mut slots = self.slots.lock().expect("slots lock");
-            let verdict = merge_slot(&mut slots, record, leased);
-            if verdict != MergeVerdict::Fresh {
-                return verdict;
+            let Slots { records, texts } = &mut *slots;
+            for (record, elapsed_us) in group {
+                let (kind, trial) = (record.outcome.kind(), record.trial as usize);
+                let verdict = merge_slot(records, record, leased);
+                if verdict == MergeVerdict::Fresh {
+                    if checkpointing {
+                        texts[trial] = record_text(records[trial].as_ref().expect("fresh slot"));
+                    }
+                    fresh.push((trial, kind, elapsed_us));
+                }
+                verdicts.push(verdict);
             }
-            if let (Some(writer), Some(record)) = (journal.as_mut(), &slots[trial]) {
+            if let (Some(writer), false) = (journal.as_mut(), fresh.is_empty()) {
                 // A failed append (already retried with backoff inside the
                 // writer) degrades the run to snapshot-only mode.
-                if let Err(e) = writer.append(record) {
+                if let Err(e) = writer.append_group(fresh.iter().map(|&(t, ..)| texts[t].as_str()))
+                {
                     self.snapshot_failures.fetch_add(1, Ordering::SeqCst);
                     eprintln!(
                         "warning: trial journal append failed ({e}); journaling disabled, \
@@ -369,23 +392,30 @@ impl<'a> Session<'a> {
                 }
             }
         }
-        self.kind_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
-        self.latencies_us.lock().expect("latency lock").push(elapsed_us);
-        let done = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
+        if fresh.is_empty() {
+            return verdicts;
+        }
+        for &(_, kind, _) in &fresh {
+            self.kind_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
+        }
+        self.latencies_us.lock().expect("latency lock").extend(fresh.iter().map(|&(.., us)| us));
+        let before = self.completed.fetch_add(fresh.len(), Ordering::SeqCst);
+        let after = before + fresh.len();
         if let Some(path) = &self.runner.checkpoint {
-            if done.is_multiple_of(self.runner.checkpoint_every) {
+            if crosses_cadence(before, after, self.runner.checkpoint_every) {
                 self.snapshot(path);
             }
         }
-        crate::signals::preempt_drill(done);
-        MergeVerdict::Fresh
+        crate::signals::preempt_drill(before, after);
+        verdicts
     }
 
     /// Compact the current slots into the checkpoint snapshot and, on
     /// success, reset the write-ahead journal (whose frames the snapshot
-    /// now subsumes). Failures degrade instead of aborting: each one is
-    /// counted, and after [`MAX_SNAPSHOT_FAILURES`] periodic checkpointing
-    /// is disabled for the rest of the run.
+    /// now subsumes). The snapshot is assembled from the records' kept
+    /// texts, never re-serialized. Failures degrade instead of aborting:
+    /// each one is counted, and after [`MAX_SNAPSHOT_FAILURES`] periodic
+    /// checkpointing is disabled for the rest of the run.
     ///
     /// Lock order: `snapshotting` → `journal` → `slots` (never any
     /// reverse). The journal lock is held for the whole collect→save→reset
@@ -404,11 +434,11 @@ impl<'a> Session<'a> {
             (self.workload.name, self.fingerprint, self.cfg.mode_bits);
         let _write_guard = self.snapshotting.lock().expect("snapshot lock");
         let mut journal = self.journal.lock().expect("journal lock");
-        let records: Vec<SingleBitRecord> = {
+        let doc = {
             let slots = self.slots.lock().expect("slots lock");
-            slots.iter().flatten().cloned().collect()
+            document(&slots.texts, workload, fingerprint, mode_bits)
         };
-        match checkpoint::save(path, workload, fingerprint, mode_bits, &records) {
+        match checkpoint::save_document(path, &doc) {
             Ok(()) => {
                 if let Some(writer) = journal.as_mut() {
                     if let Err(e) = writer.reset(workload, fingerprint, mode_bits) {
@@ -475,7 +505,7 @@ impl<'a> Session<'a> {
     }
 
     /// The thread executor: worker threads claim [`SITE_CHUNK`]-trial chunks
-    /// of the work list and commit each record as its group finishes.
+    /// of the work list and commit each lockstep group as it finishes.
     pub(crate) fn run_threads(&self) {
         let threads = self.runner.resolved_threads(self.pending.len());
         let next = AtomicUsize::new(0);
@@ -489,10 +519,7 @@ impl<'a> Session<'a> {
         // built lazily on the first claimed chunk: one instance build per
         // worker per campaign, zero steady-state allocation per trial.
         let mut exec: Option<TrialExecutor> = None;
-        let commit = |record, elapsed_us| {
-            self.commit(record, elapsed_us, true);
-            Ok::<(), std::convert::Infallible>(())
-        };
+        let mut group_records = Vec::with_capacity(runner.batch_width);
         loop {
             // Graceful preemption: stop claiming work once the token trips.
             // Unclaimed and unstarted trials simply stay pending; every
@@ -517,12 +544,17 @@ impl<'a> Session<'a> {
             });
             // A group (one trial, or one lockstep batch) is the trial
             // boundary: a group in flight finishes and commits whole, in
-            // trial order, before the token is honored.
+            // trial order and with one journal write, before the token is
+            // honored.
             for group in pending[start..end].chunks(exec.width()) {
                 if runner.cancel.cancelled().is_some() {
                     return;
                 }
-                let Ok(()) = exec.run_group(group, &commit);
+                let Ok(()) = exec.run_group(group, |record, elapsed_us| {
+                    group_records.push((record, elapsed_us));
+                    Ok::<(), std::convert::Infallible>(())
+                });
+                self.commit(group_records.drain(..), true);
             }
         }
     }
@@ -613,17 +645,11 @@ impl<'a> Session<'a> {
             (self.workload, self.cfg, self.runner, self.fingerprint);
         let snapshot_failures = self.snapshot_failures.into_inner() as u64;
         let slots = self.slots.into_inner().expect("slots lock");
-        let records: Vec<SingleBitRecord> = slots.into_iter().flatten().collect();
         if let Some(path) = &runner.checkpoint {
-            final_save(
-                path,
-                workload.name,
-                fingerprint,
-                cfg.mode_bits,
-                &records,
-                snapshot_failures,
-            )?;
+            let doc = document(&slots.texts, workload.name, fingerprint, cfg.mode_bits);
+            final_save(path, &doc, snapshot_failures)?;
         }
+        let records: Vec<SingleBitRecord> = slots.records.into_iter().flatten().collect();
         let newly_poisoned = new_poison.len();
         let mut poisoned = self.prior_poison;
         poisoned.append(&mut new_poison);
@@ -696,6 +722,40 @@ impl<'a> Session<'a> {
     }
 }
 
+/// A session's committed state: one slot per trial in the budget, and
+/// beside each committed record its serialized JSON
+/// ([`checkpoint::write_record`]), rendered once — the payload of its
+/// journal frame and its entry in every snapshot, which is assembled from
+/// these texts ([`document`]). `texts` is empty when the campaign is not
+/// checkpointing; otherwise a text is empty exactly when its slot is.
+struct Slots {
+    records: Vec<Option<SingleBitRecord>>,
+    texts: Vec<String>,
+}
+
+/// One record's serialized JSON, as a journal frame and a snapshot carry it.
+fn record_text(record: &SingleBitRecord) -> String {
+    let mut out = String::with_capacity(112);
+    checkpoint::write_record(&mut out, record);
+    out
+}
+
+/// The checkpoint document over the committed records' `texts` (trial
+/// order, empty = no record): byte-identical to [`checkpoint::render`]
+/// over the records themselves.
+fn document(texts: &[String], workload: &str, fingerprint: u64, mode_bits: u8) -> String {
+    let committed = texts.iter().filter(|t| !t.is_empty()).map(String::as_str);
+    checkpoint::render_texts(workload, fingerprint, mode_bits, committed)
+}
+
+/// Whether raising the completed count from `before` to `after` crosses a
+/// multiple of the checkpoint cadence `every` — the snapshot trigger. A
+/// group commit can step over the multiple itself, so this is a crossing,
+/// not an equality.
+fn crosses_cadence(before: usize, after: usize, every: usize) -> bool {
+    before / every != after / every
+}
+
 /// An RAII guard retiring one pre-registered worker slot on drop, so
 /// [`Session::monitor`] observes a non-zero count from before the first
 /// worker starts until after the last exits — even one that panics.
@@ -740,11 +800,13 @@ fn load_or_quarantine(
 }
 
 /// Everything [`restore_durable`] recovered: the slot vector with both the
-/// snapshot's and the journal's surviving records merged in, the live
-/// journal writer for the rest of the run (or `None` when degraded), and
-/// how many durable-write failures recovery itself already hit.
+/// snapshot's and the journal's surviving records merged in, each
+/// recovered record's text (see [`Slots`]), the live journal writer for
+/// the rest of the run (or `None` when degraded), and how many
+/// durable-write failures recovery itself already hit.
 struct DurableState {
     slots: Vec<Option<SingleBitRecord>>,
+    texts: Vec<String>,
     resumed: usize,
     journal: Option<wal::WalWriter>,
     snapshot_failures: usize,
@@ -779,7 +841,8 @@ fn restore_durable(
     let mut slots: Vec<Option<SingleBitRecord>> = vec![None; budget];
     let mut resumed = 0usize;
     let Some(path) = &runner.checkpoint else {
-        return Ok(DurableState { slots, resumed, journal: None, snapshot_failures: 0 });
+        let texts = Vec::new();
+        return Ok(DurableState { slots, texts, resumed, journal: None, snapshot_failures: 0 });
     };
     if let Some(ck) = if path.exists() { load_or_quarantine(path)? } else { None } {
         if ck.config_hash != fingerprint {
@@ -824,18 +887,22 @@ fn restore_durable(
         }
     }
 
+    // Every recovered record is serialized here, once, for the run.
+    let texts: Vec<String> =
+        slots.iter().map(|slot| slot.as_ref().map(record_text).unwrap_or_default()).collect();
     if journaled > 0 {
         // Fold the journal-only records into the snapshot now, so the
         // journal can be reset without any record existing only in memory.
-        let records: Vec<SingleBitRecord> = slots.iter().flatten().cloned().collect();
-        if let Err(e) = checkpoint::save(path, workload, fingerprint, mode_bits, &records) {
+        let doc = document(&texts, workload, fingerprint, mode_bits);
+        if let Err(e) = checkpoint::save_document(path, &doc) {
             failures += 1;
             eprintln!(
                 "warning: could not compact {journaled} journaled trial(s) into {} ({e}); \
                  keeping the journal on disk and running with periodic snapshots only",
                 path.display()
             );
-            return Ok(DurableState { slots, resumed, journal: None, snapshot_failures: failures });
+            let snapshot_failures = failures;
+            return Ok(DurableState { slots, texts, resumed, journal: None, snapshot_failures });
         }
         eprintln!(
             "note: recovered {journaled} trial(s) from the write-ahead journal at {}",
@@ -855,24 +922,21 @@ fn restore_durable(
             None
         }
     };
-    Ok(DurableState { slots, resumed, journal, snapshot_failures: failures })
+    Ok(DurableState { slots, texts, resumed, journal, snapshot_failures: failures })
 }
 
-/// Write the final checkpoint and, on success, remove the trial journal —
-/// a finished campaign leaves exactly one durable artifact. This is the one
-/// durable write that cannot be degraded away: its failure is the typed
-/// [`CheckpointError::FinalSaveFailed`], carrying the run's accumulated
-/// failure count, and the campaign exits nonzero rather than pretending
-/// completed trials are safe.
+/// Write the final checkpoint document `doc` and, on success, remove the
+/// trial journal — a finished campaign leaves exactly one durable artifact.
+/// This is the one durable write that cannot be degraded away: its failure
+/// is the typed [`CheckpointError::FinalSaveFailed`], carrying the run's
+/// accumulated failure count, and the campaign exits nonzero rather than
+/// pretending completed trials are safe.
 fn final_save(
     path: &std::path::Path,
-    workload: &str,
-    fingerprint: u64,
-    mode_bits: u8,
-    records: &[SingleBitRecord],
+    doc: &str,
     snapshot_failures: u64,
 ) -> Result<(), CheckpointError> {
-    match checkpoint::save(path, workload, fingerprint, mode_bits, records) {
+    match checkpoint::save_document(path, doc) {
         Ok(()) => {
             let _ = std::fs::remove_file(wal::wal_path(path));
             Ok(())
@@ -1148,7 +1212,7 @@ mod tests {
                             outcome: Outcome::Sdc,
                             read_before_overwrite: false,
                         };
-                        session.commit(record, 1, true);
+                        session.commit([(record, 1)], true);
                     }
                 });
             }
@@ -1159,6 +1223,114 @@ mod tests {
         let durable =
             restore_durable(&runner, w.name, session.fingerprint, cfg.mode_bits, TRIALS).unwrap();
         assert_eq!(durable.slots.iter().flatten().count(), TRIALS);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cadence_snapshots_when_the_count_crosses_a_multiple() {
+        // One-record commits: exactly at each multiple.
+        assert!(!crosses_cadence(62, 63, 64));
+        assert!(crosses_cadence(63, 64, 64));
+        assert!(!crosses_cadence(64, 65, 64));
+        // Group commits straddling, ending on, and starting on a multiple.
+        assert!(crosses_cadence(60, 68, 64));
+        assert!(crosses_cadence(56, 64, 64));
+        assert!(!crosses_cadence(64, 72, 64));
+        // A group crossing several multiples snapshots once; an empty
+        // commit never does.
+        assert!(crosses_cadence(2, 10, 3));
+        assert!(!crosses_cadence(3, 3, 1));
+        assert!(crosses_cadence(3, 4, 1));
+    }
+
+    /// A synthetic record whose crash reasons exercise JSON escaping.
+    fn synthetic(trial: u64, rng: &mut mbavf_core::rng::SplitMix64) -> SingleBitRecord {
+        const REASONS: [&str; 3] =
+            ["index \"out\" of bounds\n\tat mem.rs", "back\\slash \u{1} ctl", "unicode é ∑ 🦀"];
+        let outcome = match rng.below(5) {
+            0 => Outcome::Masked,
+            1 => Outcome::Sdc,
+            2 => Outcome::Hang,
+            k => Outcome::Crash { reason: format!("{} #{trial}", REASONS[(k as usize + 1) % 3]) },
+        };
+        SingleBitRecord {
+            trial,
+            site: FaultSite {
+                wg: rng.below(4) as u32,
+                after_retired: rng.below(1 << 40),
+                reg: rng.below(256) as u8,
+                lane: rng.below(64) as u8,
+                bit: rng.below(32) as u8,
+            },
+            outcome,
+            read_before_overwrite: rng.below(2) == 1,
+        }
+    }
+
+    /// Snapshots are assembled from each record's kept journal-frame text.
+    /// After out-of-order group commits, a simulated crash and a resume
+    /// (whose recovered records get their texts at open), every snapshot
+    /// and the final checkpoint must equal `checkpoint::render` over the
+    /// same records, byte for byte.
+    #[test]
+    fn assembled_snapshots_equal_render_across_out_of_order_commits_and_resume() {
+        const TRIALS: usize = 96;
+        let dir = tmpdir("assembled");
+        let path = dir.join("assembled.ckpt.json");
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(wal::wal_path(&path)).ok();
+        let w = by_name("dct").expect("registered");
+        let cfg = cfg(TRIALS);
+        let golden = golden_shape(&w, &cfg).unwrap();
+        // The cadence never fires: snapshots are taken by hand below.
+        let runner = RunnerConfig {
+            checkpoint: Some(path.clone()),
+            checkpoint_every: 10_000,
+            ..RunnerConfig::default()
+        };
+        let mut rng = mbavf_core::rng::SplitMix64::new(0xA55E_3B1E);
+        let all: Vec<SingleBitRecord> =
+            (0..TRIALS as u64).map(|t| synthetic(t, &mut rng)).collect();
+        let mut order: Vec<usize> = (0..TRIALS).collect();
+        for i in (1..TRIALS).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let rendered = |committed: &[usize]| {
+            let mut trials = committed.to_vec();
+            trials.sort_unstable();
+            let records: Vec<SingleBitRecord> = trials.iter().map(|&t| all[t].clone()).collect();
+            let fingerprint = checkpoint::config_fingerprint(w.name, &cfg);
+            checkpoint::render(w.name, fingerprint, cfg.mode_bits, &records)
+        };
+        let commit_groups =
+            |session: &Session, trials: &[usize], rng: &mut mbavf_core::rng::SplitMix64| {
+                let mut rest = trials;
+                while !rest.is_empty() {
+                    let (group, tail) = rest.split_at(rest.len().min(1 + rng.below(8) as usize));
+                    let verdicts = session.commit(group.iter().map(|&t| (all[t].clone(), 1)), true);
+                    assert!(verdicts.iter().all(|v| *v == MergeVerdict::Fresh));
+                    rest = tail;
+                }
+            };
+
+        let session = Session::open(&w, &cfg, &runner, &golden, None).unwrap();
+        commit_groups(&session, &order[..40], &mut rng);
+        session.snapshot(&path);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), rendered(&order[..40]));
+        // Committed after the snapshot: journaled only, then "crash".
+        commit_groups(&session, &order[40..60], &mut rng);
+        drop(session);
+
+        let session = Session::open(&w, &cfg, &runner, &golden, None).unwrap();
+        assert_eq!(session.resumed, 60);
+        // Recovery folded the journal into the snapshot through the texts.
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), rendered(&order[..60]));
+        commit_groups(&session, &order[60..80], &mut rng);
+        session.snapshot(&path);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), rendered(&order[..80]));
+        commit_groups(&session, &order[80..], &mut rng);
+        session.finish(Vec::new(), None).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), rendered(&order));
         std::fs::remove_dir_all(&dir).ok();
     }
 

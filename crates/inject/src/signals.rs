@@ -108,15 +108,18 @@ pub fn reset_sigpipe() {
 pub fn reset_sigpipe() {}
 
 /// `MBAVF_PREEMPT_DRILL` — the preemption member of the drill family
-/// ([`crate::drill`]): after the `n`-th freshly committed trial, deliver a
-/// real SIGTERM to this process, exactly as a preempting scheduler would.
+/// ([`crate::drill`]): once the freshly committed count reaches `n`,
+/// deliver a real SIGTERM to this process, exactly as a preempting
+/// scheduler would. A commit raises the count from `before` to `after` by
+/// a whole group, so the drill fires on the commit whose group contains
+/// the `n`-th trial ([`crosses`]).
 /// Spelled `"<n>"` for a single graceful signal, `"<n>:2"` for a double
 /// signal (second strike → immediate abort, exit `143`). Used by the
 /// SIGTERM-at-every-phase torture drill to pin cancellation to a
 /// deterministic trial count.
-pub(crate) fn preempt_drill(done: usize) {
+pub(crate) fn preempt_drill(before: usize, after: usize) {
     let Some((at, double)) = crate::drill::drills().preempt else { return };
-    if at != done {
+    if !crosses(before, after, at) {
         return;
     }
     term_self();
@@ -134,6 +137,11 @@ pub(crate) fn preempt_drill(done: usize) {
         // boundary until it does so the abort point is deterministic too.
         std::thread::sleep(std::time::Duration::from_secs(10));
     }
+}
+
+/// Whether raising a count from `before` to `after` reaches `at`.
+fn crosses(before: usize, after: usize, at: usize) -> bool {
+    before < at && at <= after
 }
 
 /// Deliver SIGTERM to ourselves via `kill(1)`, mirroring how the chaos
@@ -154,3 +162,27 @@ fn term_self() {
 
 #[cfg(not(unix))]
 fn term_self() {}
+
+#[cfg(test)]
+mod tests {
+    use super::crosses;
+
+    #[test]
+    fn the_drill_fires_on_the_commit_that_reaches_its_count() {
+        // One-record commits: exactly the commit that makes the count `at`.
+        assert!(!crosses(5, 6, 7));
+        assert!(crosses(6, 7, 7));
+        assert!(!crosses(7, 8, 7));
+        // A group of four straddling the drill count (trials 5..=8 of a
+        // width-4 lockstep run) fires once, at its commit.
+        assert!(!crosses(0, 4, 7));
+        assert!(crosses(4, 8, 7));
+        assert!(!crosses(8, 12, 7));
+        // A group ending exactly on the count fires; one starting there
+        // does not fire again.
+        assert!(crosses(3, 7, 7));
+        assert!(!crosses(7, 11, 7));
+        // An empty commit never fires.
+        assert!(!crosses(7, 7, 7));
+    }
+}

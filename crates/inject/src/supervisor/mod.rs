@@ -793,7 +793,8 @@ impl Fleet<'_> {
                     }
                 }
             }
-            match self.session.commit(record, us, leased.is_some()) {
+            let verdict = self.session.commit([(record, us)], leased.is_some()).pop();
+            match verdict.expect("one record, one verdict") {
                 MergeVerdict::Fresh => {
                     let pos = leased.expect("fresh commits are leased");
                     remaining.remove(pos);

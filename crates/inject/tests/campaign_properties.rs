@@ -135,6 +135,56 @@ fn resume_across_batch_width_change_matches_uninterrupted() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Group commit changes how many trials one journal write carries and
+/// where the snapshot cadence fires, never what is written: at every batch
+/// width, checkpoint cadence and thread count, both a budget-cut partial
+/// checkpoint and the resumed final one are byte-identical to
+/// `checkpoint::render` over the uninterrupted run's records.
+#[test]
+fn checkpoint_bytes_are_invariant_under_width_cadence_and_threads() {
+    let w = by_name("fast_walsh").expect("registered");
+    let cfg = CampaignConfig { seed: 0x6C033, injections: 29, ..CampaignConfig::default() };
+    let reference = run_campaign(&w, &cfg, &RunnerConfig::serial()).unwrap().summary.records;
+    let fingerprint = checkpoint::config_fingerprint(w.name, &cfg);
+    let render = |records: &[SingleBitRecord]| {
+        checkpoint::render(w.name, fingerprint, cfg.mode_bits, records).into_bytes()
+    };
+    const STOP: usize = 13;
+    let dir = tmpdir("group-commit-bytes");
+
+    for batch_width in [1usize, 3, 8] {
+        for checkpoint_every in [1usize, 3, 64] {
+            for threads in [1usize, 2] {
+                let case =
+                    format!("width {batch_width}, every {checkpoint_every}, threads {threads}");
+                let path = dir.join(format!("w{batch_width}-e{checkpoint_every}-t{threads}.json"));
+                std::fs::remove_file(&path).ok();
+                let runner = RunnerConfig {
+                    threads,
+                    batch_width,
+                    checkpoint: Some(path.clone()),
+                    checkpoint_every,
+                    ..RunnerConfig::default()
+                };
+                let partial = run_campaign(
+                    &w,
+                    &cfg,
+                    &RunnerConfig { cancel: CancelToken::limited(STOP), ..runner.clone() },
+                )
+                .unwrap();
+                assert_eq!(partial.newly_run, STOP, "{case}");
+                assert_eq!(std::fs::read(&path).unwrap(), render(&reference[..STOP]), "{case}");
+
+                let resumed = run_campaign(&w, &cfg, &runner).unwrap();
+                assert!(resumed.complete, "{case}");
+                assert_eq!(std::fs::read(&path).unwrap(), render(&reference), "{case}");
+                assert!(!checkpoint::wal::wal_path(&path).exists(), "{case}: journal left behind");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Interrupting a campaign at *any* point and resuming from its checkpoint
 /// reproduces the uninterrupted summary exactly.
 #[test]
